@@ -13,12 +13,16 @@ Both quadratic roots are kept when admissible, and the bounded ellipse makes
 the closure terminate.
 
 The global forbidden set combines local sets over the marked points with
-integer 4-pi lattices per component; membership queries enumerate it inside
-a padded box and return the nearest element as a witness.
+integer 4-pi lattices per component.  A membership query enumerates it in
+the box reaching 4 pi past the queried pair and returns the nearest element
+as a witness.  No element outside that box can be the nearest one: some 4-pi
+line lies within 2 pi of every non-negative coordinate, while every element
+outside the box is more than 4 pi away.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,9 +86,11 @@ def _coordinate_max(alpha_this: float, alpha_other: float) -> float:
     return (b + np.sqrt(b * b - 12.0 * c)) / 6.0
 
 
+@functools.lru_cache(maxsize=256)
 def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
     """Generate the local quantization set by closing the seed points under
-    both integer-shift rules."""
+    both integer-shift rules.  Points are plain floats; results are cached per
+    weight pair, since every forbidden-set query asks for the same few."""
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("weights must be non-negative")
     a1p, a2p = 2.0 * (1.0 + alpha1), 2.0 * (1.0 + alpha2)
@@ -124,7 +130,7 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
                 if c >= a - DEDUP_TOLERANCE and add((c, d)):
                     queue.append((c, d))
             m += 1
-    return LocalSet(alpha1, alpha2, tuple(sorted(points)))
+    return LocalSet(alpha1, alpha2, tuple(sorted((float(a), float(b)) for a, b in points)))
 
 
 # ----- global set -------------------------------------------------------------
@@ -142,10 +148,12 @@ class GlobalSet:
 
 
 def _axis_values(alphas: tuple[float, ...], limit: float) -> tuple[float, ...]:
-    """All values 4 pi (n + sum_j (1 + alpha_j) n_j) up to `limit`."""
+    """All values 4 pi (n + sum_j (1 + alpha_j) n_j) up to `limit`.  Offsets
+    only grow, so those past the limit are dropped as each weight is added."""
     offsets = {0.0}
     for a in alphas:
-        offsets |= {off + (1.0 + a) for off in offsets}
+        grown = {off + (1.0 + a) for off in offsets}
+        offsets |= {off for off in grown if 4.0 * np.pi * off <= limit}
     values = set()
     for off in offsets:
         n = 0
@@ -158,34 +166,70 @@ def _axis_values(alphas: tuple[float, ...], limit: float) -> tuple[float, ...]:
     return tuple(sorted(values))
 
 
+def _rounded(values: np.ndarray, digits: int) -> np.ndarray:
+    """`round(v, digits)` of every entry, rounding as Python rounds a float: to
+    the exactly nearest decimal.  Scaling by 10**digits first, as `np.round`
+    does, agrees unless the scaled value lies within rounding error of a
+    half-way point; those few entries are rounded one by one."""
+    scale = 10.0 ** digits
+    scaled = values * scale
+    out = np.rint(scaled) / scale
+    near = np.abs(scaled - np.floor(scaled) - 0.5) <= np.spacing(np.abs(scaled))
+    out[near] = [round(v, digits) for v in values[near].tolist()]
+    return out
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and, for every entry, the index of its value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, inverse.reshape(values.shape)
+
+
+def _merge_shifts(grown: np.ndarray) -> np.ndarray:
+    """Merge shifts that agree to 9 digits.  Each survivor keeps the position
+    of the first shift of its class and the value of the last one, as a dict
+    keyed by the rounded pair does; the next step grows them in that order."""
+    keys = _rounded(grown, 9)
+    _, code1 = _codes(keys[:, 0])
+    distinct2, code2 = _codes(keys[:, 1])
+    codes = code1 * len(distinct2) + code2
+    _, first = np.unique(codes, return_index=True)
+    _, last_reversed = np.unique(codes[::-1], return_index=True)
+    last = len(codes) - 1 - last_reversed
+    return grown[last[np.argsort(first)]]
+
+
 def global_lambda(singular: SingularData, box: tuple[float, float]) -> GlobalSet:
-    """Enumerate the forbidden set inside [0, box1] x [0, box2] (+4 pi padding)."""
+    """Enumerate the forbidden set inside [0, box1] x [0, box2] (+4 pi padding).
+
+    Every local point lies in the closed positive quadrant, so a sum of local
+    points (a shift) only grows as marked points are added.  Shifts past the
+    padded box are dropped after each marked point, which bounds the work by
+    the box instead of the number of marked points."""
+    two_pi = 2.0 * np.pi
     lim1, lim2 = box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi
     lambda1 = _axis_values(singular.alpha1, lim1)
     lambda2 = _axis_values(singular.alpha2, lim2)
 
-    local_sets = [local_lambda(a1, a2).points
-                  for a1, a2 in zip(singular.alpha1, singular.alpha2)]
-    base_shifts = [(0.0, 0.0)]
-    for pts in local_sets:
-        grown = []
-        for s1, s2 in base_shifts:
-            grown.append((s1, s2))  # this marked point contributes nothing
-            grown.extend((s1 + p1, s2 + p2) for p1, p2 in pts)
-        seen = {(round(s1, 9), round(s2, 9)): (s1, s2) for s1, s2 in grown}
-        base_shifts = list(seen.values())
+    shifts = np.zeros((1, 2))
+    for a1, a2 in zip(singular.alpha1, singular.alpha2):
+        # row 0: this marked point contributes nothing
+        steps = np.vstack([np.zeros((1, 2)), np.array(local_lambda(a1, a2).points)])
+        grown = (shifts[:, None, :] + steps[None, :, :]).reshape(-1, 2)
+        shifts = _merge_shifts(grown[np.all(two_pi * grown <= (lim1, lim2), axis=1)])
 
-    points = set()
-    for s1, s2 in base_shifts:
-        p = 0
-        while 2.0 * np.pi * (2 * p + s1) <= lim1:
-            q = 0
-            while 2.0 * np.pi * (2 * q + s2) <= lim2:
-                points.add((round(2.0 * np.pi * (2 * p + s1), 12),
-                            round(2.0 * np.pi * (2 * q + s2), 12)))
-                q += 1
-            p += 1
-    return GlobalSet(singular, box, tuple(sorted(points)), lambda1, lambda2)
+    # 4-pi lattice over each shift: coordinate 2 pi (2 p + s), p >= 0, up to the limit
+    def lattice(s: np.ndarray, limit: float) -> np.ndarray:
+        return two_pi * (2 * np.arange(int(limit / (4.0 * np.pi)) + 2)[None, :] + s[:, None])
+
+    xs, ys = lattice(shifts[:, 0], lim1), lattice(shifts[:, 1], lim2)
+    values1, code1 = _codes(_rounded(xs, 12))
+    values2, code2 = _codes(_rounded(ys, 12))
+    which, i, j = np.nonzero((xs <= lim1)[:, :, None] & (ys <= lim2)[:, None, :])
+    codes = np.unique(code1[which, i] * len(values2) + code2[which, j])
+    lambda0 = tuple(zip(values1[codes // len(values2)].tolist(),
+                        values2[codes % len(values2)].tolist()))
+    return GlobalSet(singular, box, lambda0, lambda1, lambda2)
 
 
 @dataclass(frozen=True)
@@ -197,23 +241,23 @@ class MembershipReport:
 
 def global_membership(rho: RhoPair, singular: SingularData, tol: float) -> MembershipReport:
     """Distance from rho to the forbidden set (lines by coordinate gap,
-    isolated points by Euclidean distance) and the nearest witness element."""
+    isolated points by Euclidean distance) and the nearest witness element.
+    Ties go to the first element of lambda1, then lambda2, then lambda0."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     gs = global_lambda(singular, (rho.rho1, rho.rho2))
+    points = np.array(gs.lambda0).reshape(-1, 2)
+    families = (
+        ("lambda1-line", [(v,) for v in gs.lambda1], np.abs(rho.rho1 - np.array(gs.lambda1))),
+        ("lambda2-line", [(v,) for v in gs.lambda2], np.abs(rho.rho2 - np.array(gs.lambda2))),
+        ("lambda0-point", gs.lambda0, np.hypot(rho.rho1 - points[:, 0], rho.rho2 - points[:, 1])),
+    )
     best = (np.inf, ("none", ()))
-    for v in gs.lambda1:
-        d = abs(rho.rho1 - v)
-        if d < best[0]:
-            best = (d, ("lambda1-line", (v,)))
-    for v in gs.lambda2:
-        d = abs(rho.rho2 - v)
-        if d < best[0]:
-            best = (d, ("lambda2-line", (v,)))
-    for p in gs.lambda0:
-        d = float(np.hypot(rho.rho1 - p[0], rho.rho2 - p[1]))
-        if d < best[0]:
-            best = (d, ("lambda0-point", p))
+    for kind, elements, distances in families:
+        if len(elements):
+            k = int(np.argmin(distances))
+            if distances[k] < best[0]:
+                best = (float(distances[k]), (kind, elements[k]))
     return MembershipReport(best[0] <= tol, best[0], best[1])
 
 

@@ -212,15 +212,18 @@ def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
                     f" = {n * step:.6f} in the {label} coordinate")
         return
     gs = global_lambda(singular, (r1 + 2.0 * nu, r2 + 2.0 * nu))
-    for v in gs.lambda1:
-        if abs(r1 - v) <= 2.0 * nu:
-            raise ValueError(f"continuation box crosses the vertical line rho1 = {v:.6f}")
-    for v in gs.lambda2:
-        if abs(r2 - v) <= 2.0 * nu:
-            raise ValueError(f"continuation box crosses the horizontal line rho2 = {v:.6f}")
-    for p in gs.lambda0:
-        if abs(r1 - p[0]) <= 2.0 * nu and abs(r2 - p[1]) <= 2.0 * nu:
-            raise ValueError(f"continuation box contains the forbidden point {p}")
+    crossed1 = np.flatnonzero(np.abs(r1 - np.array(gs.lambda1)) <= 2.0 * nu)
+    if crossed1.size:
+        raise ValueError("continuation box crosses the vertical line rho1 = "
+                         f"{gs.lambda1[crossed1[0]]:.6f}")
+    crossed2 = np.flatnonzero(np.abs(r2 - np.array(gs.lambda2)) <= 2.0 * nu)
+    if crossed2.size:
+        raise ValueError("continuation box crosses the horizontal line rho2 = "
+                         f"{gs.lambda2[crossed2[0]]:.6f}")
+    gaps = np.abs(np.array([r1, r2]) - np.array(gs.lambda0).reshape(-1, 2))
+    contained = np.flatnonzero(np.all(gaps <= 2.0 * nu, axis=1))
+    if contained.size:
+        raise ValueError(f"continuation box contains the forbidden point {gs.lambda0[contained[0]]}")
 
 
 def continuation_sweep(problem: str, rho_center: RhoPair, nu: float, steps: int,

@@ -1,11 +1,15 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusvar.functionals import RhoPair
 from torusvar.geometry import FlatTorus, Point, SingularData
+import torusvar.quantization
 from torusvar.quantization import (
     blowup_candidates,
     gamma_residual,
@@ -178,6 +182,129 @@ class TestGlobalSet:
                                    SingularData.empty(), 1e-6)
         assert not report.inside
         assert report.nearest_distance == pytest.approx(np.pi, abs=1e-9)
+
+
+def unpruned_axis_values(alphas, limit):
+    """Reference copy of the 4-pi line enumeration."""
+    offsets = {0.0}
+    for a in alphas:
+        offsets |= {off + (1.0 + a) for off in offsets}
+    values = set()
+    for off in offsets:
+        n = 0
+        while True:
+            v = 4.0 * np.pi * (n + off)
+            if v > limit:
+                break
+            values.add(round(v, 12))
+            n += 1
+    return tuple(sorted(values))
+
+
+def unpruned_global_lambda(singular, box):
+    """Reference: the forbidden-set enumeration as a plain loop that keeps every
+    shift, growing as the product of (|Lambda_j| + 1) over the marked points."""
+    lim1, lim2 = box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi
+    lambda1 = unpruned_axis_values(singular.alpha1, lim1)
+    lambda2 = unpruned_axis_values(singular.alpha2, lim2)
+
+    local_sets = [local_lambda(a1, a2).points
+                  for a1, a2 in zip(singular.alpha1, singular.alpha2)]
+    base_shifts = [(0.0, 0.0)]
+    for pts in local_sets:
+        grown = []
+        for s1, s2 in base_shifts:
+            grown.append((s1, s2))  # this marked point contributes nothing
+            grown.extend((s1 + p1, s2 + p2) for p1, p2 in pts)
+        seen = {(round(s1, 9), round(s2, 9)): (s1, s2) for s1, s2 in grown}
+        base_shifts = list(seen.values())
+
+    points = set()
+    for s1, s2 in base_shifts:
+        p = 0
+        while 2.0 * np.pi * (2 * p + s1) <= lim1:
+            q = 0
+            while 2.0 * np.pi * (2 * q + s2) <= lim2:
+                points.add((round(2.0 * np.pi * (2 * p + s1), 12),
+                            round(2.0 * np.pi * (2 * q + s2), 12)))
+                q += 1
+            p += 1
+    return tuple(sorted(points)), lambda1, lambda2
+
+
+def marked(weights):
+    """SingularData with one marked point per (alpha1, alpha2) pair."""
+    return SingularData.of([(0.05 + 0.1 * i, 0.3) for i in range(len(weights))],
+                           [a1 for a1, _ in weights], [a2 for _, a2 in weights],
+                           FlatTorus(32))
+
+
+WEIGHTS = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+REFERENCE_BUDGET = 100_000
+
+
+class TestPrunedEnumeration:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(WEIGHTS, max_size=3),
+           st.tuples(st.floats(0.0, 20 * np.pi), st.floats(0.0, 20 * np.pi)))
+    def test_equals_the_unpruned_enumeration(self, weights, box):
+        # the reference's cost is the product of the local set sizes; keep it testable
+        assume(np.prod([len(local_lambda(*w).points) + 1 for w in weights]) <= REFERENCE_BUDGET)
+        singular = marked(weights)
+        got = global_lambda(singular, box)
+        ref0, ref1, ref2 = unpruned_global_lambda(singular, box)
+        for mine, theirs in ((got.lambda0, ref0), (got.lambda1, ref1), (got.lambda2, ref2)):
+            assert len(mine) == len(theirs)
+            if theirs:
+                assert np.abs(np.array(mine) - np.array(theirs)).max() <= 1e-9
+
+    def test_many_marked_points_stay_bounded(self):
+        box = (20 * np.pi, 20 * np.pi)
+        three = global_lambda(marked([(0.5, 2.0)] * 3), box)
+        t0 = time.perf_counter()
+        eight = global_lambda(marked([(0.5, 2.0)] * 8), box)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(eight.lambda0) == len(three.lambda0) == 885
+
+    def test_line_offsets_stay_bounded_with_distinct_weights(self):
+        # 2**24 weight subsets, of which only the few within the limit are kept
+        weights = tuple(float(a) for a in np.sqrt(np.arange(2.0, 26.0)) % 0.5)
+        limit = 24 * np.pi
+        few = unpruned_axis_values(weights[:16], limit)
+        assert torusvar.quantization._axis_values(weights[:16], limit) == few
+        t0 = time.perf_counter()
+        lines = torusvar.quantization._axis_values(weights, limit)
+        assert time.perf_counter() - t0 < 1.0
+        assert set(few) < set(lines)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(WEIGHTS, max_size=2),
+           st.tuples(st.floats(0.0, 20 * np.pi), st.floats(0.0, 20 * np.pi)),
+           st.floats(0.0, 8 * np.pi))
+    def test_membership_does_not_depend_on_the_padding(self, weights, rho, extra):
+        singular = marked(weights)
+        query = RhoPair(*rho)
+        report = global_membership(query, singular, 1e-6)
+        enumerate_in_box = torusvar.quantization.global_lambda
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(torusvar.quantization, "global_lambda",
+                          lambda s, box: enumerate_in_box(s, (box[0] + extra, box[1] + extra)))
+            wider = global_membership(query, singular, 1e-6)
+        assert wider == report
+
+    @pytest.mark.parametrize("digits", [9, 12])
+    def test_vector_rounding_matches_python_round(self, digits):
+        values = np.random.default_rng(digits).uniform(0.0, 120.0, 20000)
+        halfway = (np.floor(values * 10.0**digits) + 0.5) / 10.0**digits
+        for v in (values, halfway, np.nextafter(halfway, 0.0), np.nextafter(halfway, 200.0)):
+            assert torusvar.quantization._rounded(v, digits).tolist() == \
+                [round(x, digits) for x in v.tolist()]
+
+    def test_membership_ties_go_to_the_first_line(self):
+        # equidistant from the lines rho1 = 4 pi and rho2 = 4 pi and from no point nearer
+        report = global_membership(RhoPair(4 * np.pi + 0.5, 4 * np.pi + 0.5),
+                                   SingularData.empty(), 1e-6)
+        assert report.witness == ("lambda1-line", (round(4 * np.pi, 12),))
 
 
 class TestScalarTables:

@@ -161,6 +161,17 @@ class TestContinuation:
         with pytest.raises(ValueError, match="vertical line rho1"):
             check_continuation_box("toda", RhoPair(4 * np.pi, 2 * np.pi), 0.5, EMPTY)
 
+    def test_horizontal_line_crossing_aborts(self):
+        with pytest.raises(ValueError, match=r"horizontal line rho2 = 12\.566371$"):
+            check_continuation_box("toda", RhoPair(2 * np.pi, 4 * np.pi), 0.5, EMPTY)
+
+    def test_isolated_point_aborts_and_is_named(self):
+        # 2 pi (6.708..., 2.417...) for weights (0.5, 2.0): more than 2.6 from every line
+        singular = SingularData.of([(0.5, 0.5)], [0.5], [2.0], FlatTorus(32))
+        with pytest.raises(ValueError, match=r"forbidden point \(42\.150296420051, "
+                                             r"15\.189124874672\)$"):
+            check_continuation_box("toda", RhoPair(42.0, 15.0), 0.5, singular)
+
     def test_scalar_line_crossing_aborts(self):
         with pytest.raises(ValueError, match="forbidden line"):
             check_continuation_box("meanfield", RhoPair(8 * np.pi, 1.0), 0.5, EMPTY)
