@@ -243,7 +243,7 @@ class ExperimentConfig:
             "tol": tol if tol is not None else raw.get("tol"),
         }
         for key in ("problem", "initial", "components", "r_values", "lam", "box",
-                    "rho_samples", "alpha", "nu", "steps", "coarse_n", "subsamples",
+                    "rho_samples", "alpha", "nu", "steps", "subsamples",
                     "fit_floor", "random_fields", "mass_centers", "mass_radius"):
             if key in raw:
                 resolved[key] = raw[key]
@@ -398,14 +398,12 @@ def _run_test_energy(cfg: ExperimentConfig) -> int:
 def _run_kr_scaling(cfg: ExperimentConfig) -> int:
     components = [int(c) for c in cfg.option("components", [1, 2])]
     zeta = cfg.join_element()
-    coarse_n = int(cfg.option("coarse_n", 48))
     subsamples = int(cfg.option("subsamples", 8))
     fit_floor = float(cfg.option("fit_floor", 10.0))
 
     def job(component: int):
         return kr_scaling_check(cfg.torus, zeta, cfg.lambdas, component, cfg.h1, cfg.h2,
-                                subsamples=subsamples, coarse_n=coarse_n,
-                                fit_floor=fit_floor)
+                                subsamples=subsamples, fit_floor=fit_floor)
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         curves = list(zip(components, pool.map(job, components)))
@@ -423,14 +421,13 @@ def _run_projection(cfg: ExperimentConfig) -> int:
     lam = float(cfg.option("lam", 1000.0))
     r_values = [float(r) for r in cfg.option("r_values", [0.0, 0.5, 1.0])]
     subsamples = int(cfg.option("subsamples", 8))
-    coarse_n = int(cfg.option("coarse_n", 48))
     base = cfg.join_element()
 
     def job(r: float):
         zeta = JoinElement(base.sigma1, base.sigma2, r)
         validate_on_curves(zeta, cfg.curves, cfg.torus)
         return homotopy_identity_check(cfg.torus, zeta, lam, cfg.h1, cfg.h2, cfg.curves,
-                                       subsamples=subsamples, coarse_n=coarse_n)
+                                       subsamples=subsamples)
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         reports = list(zip(r_values, pool.map(job, r_values)))
@@ -495,12 +492,17 @@ def _gate_on_forbidden_set(cfg: ExperimentConfig, problem: str) -> None:
             f"{cfg.tol} of a multiple of 8 pi")
 
 
-def _run_solve(cfg: ExperimentConfig) -> int:
+def _problem_and_weights(cfg: ExperimentConfig) -> tuple[str, object]:
+    """The configured problem name and the weights its solver takes."""
     problem = cfg.option("problem", "toda")
     if problem not in ("toda", "meanfield"):
         raise ConfigError(f"problem must be 'toda' or 'meanfield', got {problem!r}")
+    return problem, ((cfg.h1, cfg.h2) if problem == "toda" else cfg.h1)
+
+
+def _run_solve(cfg: ExperimentConfig) -> int:
+    problem, weights = _problem_and_weights(cfg)
     _gate_on_forbidden_set(cfg, problem)
-    weights = (cfg.h1, cfg.h2) if problem == "toda" else cfg.h1
     initial = None
     if cfg.option("initial", "zero") == "random":
         rng = np.random.default_rng(cfg.seed)
@@ -537,12 +539,9 @@ def _run_solve(cfg: ExperimentConfig) -> int:
 
 
 def _run_continuation(cfg: ExperimentConfig) -> int:
-    problem = cfg.option("problem", "toda")
-    if problem not in ("toda", "meanfield"):
-        raise ConfigError(f"problem must be 'toda' or 'meanfield', got {problem!r}")
+    problem, weights = _problem_and_weights(cfg)
     nu = float(cfg.option("nu", 0.5))
     steps = int(cfg.option("steps", 5))
-    weights = (cfg.h1, cfg.h2) if problem == "toda" else cfg.h1
     results = continuation_sweep(problem, cfg.rho, nu, steps, weights, cfg.singular,
                                  cfg.solver)
     mus = np.linspace(-nu, nu, steps)

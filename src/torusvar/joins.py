@@ -216,8 +216,7 @@ def rtilde(d1: float, d2: float) -> float:
 
 def psi_map(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
             k: int, l: int, curves: CurveSystem,
-            admission: float = DEFAULT_ADMISSION,
-            coarse_n: int = 48) -> JoinElement:
+            admission: float = DEFAULT_ADMISSION) -> JoinElement:
     """Project a pair of fields onto the join of atomic measures on the circles.
 
     Each normalized density h_i e^{u_i}/int is approximated by at most k
@@ -228,8 +227,8 @@ def psi_map(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
     not defined."""
     f1 = normalize_exp(h1, u1)
     f2 = normalize_exp(h2, u2)
-    d1, sigma1 = distance_to_barycenters(f1, k, coarse_n=coarse_n)
-    d2, sigma2 = distance_to_barycenters(f2, l, coarse_n=coarse_n)
+    d1, sigma1 = distance_to_barycenters(f1, k)
+    d2, sigma2 = distance_to_barycenters(f2, l)
     if d1 > admission and d2 > admission:
         raise ValueError(
             f"both densities are far from their atomic sets "
@@ -250,8 +249,7 @@ class HomotopyReport:
 def homotopy_identity_check(torus: FlatTorus, zeta: JoinElement, lam: float,
                             h1: GridField, h2: GridField, curves: CurveSystem,
                             subsamples: int = DEFAULT_SUBSAMPLES,
-                            admission: float = DEFAULT_ADMISSION,
-                            coarse_n: int = 48) -> HomotopyReport:
+                            admission: float = DEFAULT_ADMISSION) -> HomotopyReport:
     """Round trip zeta -> peak family -> projection, measured per component.
 
     Displacements are transport distances between seed and recovered atoms;
@@ -259,7 +257,7 @@ def homotopy_identity_check(torus: FlatTorus, zeta: JoinElement, lam: float,
     trip is designed to approach as lambda grows."""
     phi1, phi2 = test_function(torus, zeta, lam, subsamples)
     out = psi_map(phi1, phi2, h1, h2, zeta.sigma1.capacity, zeta.sigma2.capacity,
-                  curves, admission=admission, coarse_n=coarse_n)
+                  curves, admission=admission)
     disp1 = kr_transport(zeta.sigma1, out.sigma1, torus=torus).distance
     disp2 = kr_transport(zeta.sigma2, out.sigma2, torus=torus).distance
     return HomotopyReport(disp1, disp2, abs(out.r - plateau(zeta.r)))
@@ -268,7 +266,7 @@ def homotopy_identity_check(torus: FlatTorus, zeta: JoinElement, lam: float,
 def kr_scaling_check(torus: FlatTorus, zeta: JoinElement, lambdas: Sequence[float],
                      component: int, h1: GridField, h2: GridField,
                      subsamples: int = DEFAULT_SUBSAMPLES,
-                     coarse_n: int = 48, fit_floor: float = 10.0) -> SweepCurve:
+                     fit_floor: float = 10.0) -> SweepCurve:
     """Decay rate of the distance from the peak family's density to its atomic set.
 
     Fits log d against log lambda_{i,r}, restricted to lambda_{i,r} >= fit_floor
@@ -286,7 +284,7 @@ def kr_scaling_check(torus: FlatTorus, zeta: JoinElement, lambdas: Sequence[floa
         phi1, phi2 = test_function(torus, zeta, lam, subsamples)
         phi = phi1 if component == 1 else phi2
         f = normalize_exp(h, phi)
-        d, _ = distance_to_barycenters(f, capacity, coarse_n=coarse_n)
+        d, _ = distance_to_barycenters(f, capacity)
         dists.append(d)
         scales.append(zeta.scales(lam)[component - 1])
     dists = np.array(dists)

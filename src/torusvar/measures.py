@@ -3,9 +3,9 @@
 Two representations coexist: `DiscreteMeasure` (a non-negative density on the
 grid) and `BarycenterMeasure` (an atomic measure with at most `capacity`
 atoms).  The distance is the transport (Wasserstein-1) distance with ground
-cost min(d(x, y), 2); since the unit-area torus has diameter below 2, the
-truncation never binds and the value agrees with the dual formulation over
-functions with max(sup norm, Lipschitz seminorm) <= 1.
+cost min(d(x, y), 2), which agrees with the dual formulation over functions
+with max(sup norm, Lipschitz seminorm) <= 1; the cap binds only on tori whose
+diameter exceeds 2 (period ratio above about 16).
 
 Dispatch for the distance: sides with a single support point use the closed
 form sum_i m_i d(x_i, z); small instances are solved as an exact sparse
@@ -15,8 +15,9 @@ diameter/coarse_n per coarsened side (the reported error bound).
 
 The module also carries the constructive covering/merging and
 spread-detection routines used to decide whether a density is concentrated
-near at most k points, and a projection of densities onto atomic measures
-with certified upper-bound semantics.
+near at most k points, and a projection of densities onto atomic measures.
+The projection's distance is the k-median cost of its Voronoi-weighted atoms:
+exact for the returned measure, an upper bound for the k-atom set.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
 def kr_transport(mu: Measure, nu: Measure, coarse_n: int = 48,
                  exact_limit: int = 4096, torus: FlatTorus | None = None) -> TransportResult:
     """Transport distance with dispatch and a certified coarsening error bound."""
-    gap = abs(_mass(mu) - _mass(nu))
+    gap = abs(mu.mass() - nu.mass())
     if gap > MASS_TOLERANCE:
         raise ValueError(f"measures have unequal masses (gap {gap:.3e})")
 
@@ -212,19 +213,8 @@ def kr_transport(mu: Measure, nu: Measure, coarse_n: int = 48,
     elif torus is None:
         torus = FlatTorus(16)  # atomic-only instances only need the (unit) periods
     sizes = (len(w_a), len(w_b))
-
-    # Closed form when one side is a single atom: every unit of mass travels
-    # straight to that atom.
-    for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
-        if len(pts_one) == 1:
-            d = np.minimum(_pairwise_distance(torus, pts_many, pts_one)[:, 0], 2.0)
-            return TransportResult(float(np.dot(w_many, d)), 0.0, sizes, "closed-form")
-
-    if sizes[0] + sizes[1] <= exact_limit:
-        # Canonical orientation so the value is bit-identical under argument swap.
-        if sizes[0] > sizes[1] or (sizes[0] == sizes[1] and _side_key(pts_a, w_a) > _side_key(pts_b, w_b)):
-            pts_a, w_a, pts_b, w_b = pts_b, w_b, pts_a, w_a
-        return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), 0.0, sizes, "lp")
+    if 1 in sizes or sum(sizes) <= exact_limit:
+        return _closed_form_or_lp(torus, pts_a, w_a, pts_b, w_b, 0.0, sizes, "")
 
     diameter = float(np.hypot(torus.L1 / 2.0, torus.L2 / 2.0))
     bound = 0.0
@@ -234,21 +224,26 @@ def kr_transport(mu: Measure, nu: Measure, coarse_n: int = 48,
     if sizes[1] > exact_limit:
         pts_b, w_b = _coarsen_support(torus, pts_b, w_b, coarse_n)
         bound += diameter / coarse_n
+    return _closed_form_or_lp(torus, pts_a, w_a, pts_b, w_b, bound, sizes, "coarsened-")
+
+
+def _closed_form_or_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
+                       pts_b: np.ndarray, w_b: np.ndarray, bound: float,
+                       sizes: tuple[int, int], prefix: str) -> TransportResult:
+    """Closed form when one side is a single atom (every unit of mass travels
+    straight to that atom), else the exact LP in a canonical orientation so the
+    value is bit-identical under argument swap."""
     for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
         if len(pts_one) == 1:
             d = np.minimum(_pairwise_distance(torus, pts_many, pts_one)[:, 0], 2.0)
-            return TransportResult(float(np.dot(w_many, d)), bound, sizes, "coarsened-closed-form")
+            return TransportResult(float(np.dot(w_many, d)), bound, sizes, prefix + "closed-form")
     if len(w_a) > len(w_b) or (len(w_a) == len(w_b) and _side_key(pts_a, w_a) > _side_key(pts_b, w_b)):
         pts_a, w_a, pts_b, w_b = pts_b, w_b, pts_a, w_a
-    return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), bound, sizes, "coarsened-lp")
+    return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), bound, sizes, prefix + "lp")
 
 
 def _side_key(pts: np.ndarray, w: np.ndarray) -> tuple:
     return (pts.tobytes(), w.tobytes())
-
-
-def _mass(measure: Measure) -> float:
-    return measure.mass()
 
 
 def kr_distance(mu: Measure, nu: Measure, coarse_n: int = 48) -> float:
@@ -289,10 +284,10 @@ def _greedy_ball_centers(measure: DiscreteMeasure, rounds: int, radius: float) -
 
 
 def _k_median_cost(measure: DiscreteMeasure, centers: Sequence[Point]) -> float:
-    """int min_i d(y, z_i) dmu — the exact transport distance to the atomic
-    measure with these centers and their Voronoi masses."""
+    """int min(min_i d(y, z_i), 2) dmu — the exact transport distance to the
+    atomic measure with these centers and their Voronoi masses."""
     torus = measure.torus
-    dmin = np.full((torus.n, torus.n), np.inf)
+    dmin = np.full((torus.n, torus.n), 2.0)  # the ground-cost cap
     for z in centers:
         np.minimum(dmin, torus.distance_field(z), out=dmin)
     return float((measure.density * dmin).sum() * torus.cell_area)
@@ -306,16 +301,17 @@ def _voronoi_weights(measure: DiscreteMeasure, centers: Sequence[Point]) -> np.n
     return np.array([masses[owner == i].sum() for i in range(len(centers))])
 
 
-def distance_to_barycenters(mu: DiscreteMeasure, k: int,
-                            coarse_n: int = 48) -> tuple[float, BarycenterMeasure]:
+def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
     """Best found atomic approximation with at most k atoms, and its distance.
 
     Greedy ball captures seed the centers, Voronoi masses give the weights,
     and a local grid search descends on the exact objective
-    int min_i d(y, z_i) dmu, which equals the transport distance for
-    Voronoi-weighted atoms.  Candidates are built for every atom budget up to
-    k and the best kept, so the result is monotone in k.  The returned value
-    is an upper bound on the true distance to the k-atom set."""
+    int min(min_i d(y, z_i), 2) dmu, which equals the transport distance for
+    Voronoi-weighted atoms: sending every point to its nearest atom is an
+    optimal plan (Kitagawa-Merigot-Thibert).  Candidates are built for every
+    atom budget up to k and the best kept, so the result is monotone in k.
+    The returned value is that objective, the exact transport distance to the
+    returned sigma, and so an upper bound on the distance to the k-atom set."""
     if k < 1:
         raise ValueError("atom budget k must be >= 1")
     if abs(mu.mass() - 1.0) > MASS_TOLERANCE:
@@ -349,8 +345,7 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int,
     total = weights.sum()
     sigma = BarycenterMeasure(tuple((w / total, z) for w, z in zip(weights, best_centers)
                                     if w > 0), k)
-    d = kr_transport(mu, sigma, coarse_n=coarse_n).distance
-    return d, sigma
+    return best_cost, sigma
 
 
 # ----- covering construction --------------------------------------------------

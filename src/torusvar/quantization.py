@@ -261,16 +261,17 @@ def global_membership(rho: RhoPair, singular: SingularData, tol: float) -> Membe
     return MembershipReport(best[0] <= tol, best[0], best[1])
 
 
+def nearest_scalar_line(value: float) -> tuple[int, float]:
+    """The positive multiple n of 8 pi nearest to value, as (n, |value - 8 pi n|)."""
+    n = max(1, int(round(value / (8.0 * np.pi))))
+    return n, abs(value - n * 8.0 * np.pi)
+
+
 def scalar_forbidden(rho: RhoPair, tol: float) -> bool:
     """Whether either coordinate is within tol of a positive multiple of 8 pi."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    step = 8.0 * np.pi
-    for value in (rho.rho1, rho.rho2):
-        n = max(1, int(round(value / step)))
-        if abs(value - n * step) <= tol:
-            return True
-    return False
+    return any(nearest_scalar_line(value)[1] <= tol for value in (rho.rho1, rho.rho2))
 
 
 def scalar_blowup_value(alpha: float) -> float:

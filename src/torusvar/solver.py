@@ -40,7 +40,7 @@ from .geometry import (
     integrate,
     laplacian_array,
 )
-from .quantization import blowup_candidates, global_lambda
+from .quantization import blowup_candidates, global_lambda, nearest_scalar_line, scalar_blowup_value
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class SolveResult:
     iterations: int
     converged: bool
     coercive: bool
-    mass_report: tuple = ()
 
 
 def _weights(problem: str, h, singular: SingularData) -> tuple[GridField, GridField]:
@@ -203,13 +202,12 @@ def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
     raises naming the offending line or point."""
     r1, r2 = rho_center.rho1, rho_center.rho2
     if problem == "meanfield":
-        step = 8.0 * np.pi
         for label, value in (("first", r1), ("second", r2)):
-            n = max(1, int(round(value / step)))
-            if abs(value - n * step) <= 2.0 * nu:
+            n, gap = nearest_scalar_line(value)
+            if gap <= 2.0 * nu:
                 raise ValueError(
                     f"continuation box hits the scalar forbidden line {n}*8pi"
-                    f" = {n * step:.6f} in the {label} coordinate")
+                    f" = {n * 8.0 * np.pi:.6f} in the {label} coordinate")
         return
     gs = global_lambda(singular, (r1 + 2.0 * nu, r2 + 2.0 * nu))
     crossed1 = np.flatnonzero(np.abs(r1 - np.array(gs.lambda1)) <= 2.0 * nu)
@@ -289,7 +287,7 @@ def blowup_masses(u: Sequence[GridField], h, rho: RhoPair, centers: Sequence[Poi
         else:
             values = [8.0 * np.pi * n for n in range(1, 6)]
             if index is not None:
-                values.append(4.0 * np.pi * (1.0 + singular.alpha1[index]))
+                values.append(scalar_blowup_value(singular.alpha1[index]))
             table = tuple((v, w) for v in values for w in values)
         best = min(table, key=lambda c: np.hypot(c[0] - masses[0], c[1] - masses[1]))
         dist = float(np.hypot(best[0] - masses[0], best[1] - masses[1]))

@@ -136,7 +136,7 @@ def test_criterion_04_transport_distance_scales_inversely():
     zeta = join_element(torus, 1, 1, 0.5)
     lambdas = np.geomspace(10.0, 1000.0, 9)
     slopes = [kr_scaling_check(torus, zeta, lambdas, component, h, h,
-                               coarse_n=48, fit_floor=10.0).slope
+                               fit_floor=10.0).slope
               for component in (1, 2)]
     ok = all(abs(s - (-1.0)) <= 0.15 for s in slopes)
     certify(4, "KR scaling", ok,

@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +62,24 @@ class TestConfigValidation:
     def test_unknown_problem_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "sinh-gordon"})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_unknown_problem_exits_2_in_continuation(self, tmp_path):
+        cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "sinh-gordon"})
+        assert main(["continuation", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_readme_solve_config_is_read(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal solve config:\s*```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.json"
+        path.write_text(block.group(1))
+        cfg = ExperimentConfig.load(str(path), str(tmp_path / "out"), None, None, None)
+        assert cfg.resolved["h"] == {"profile": "sin-bump", "amplitude": 0.3}
+        assert cfg.solver.gradient_tolerance == 5e-9
+
+    def test_retired_coarse_n_key_is_ignored(self, tmp_path):
+        cfg = ExperimentConfig.load(write_config(tmp_path, {**SMALL_GRID, "coarse_n": 24}),
+                                    str(tmp_path / "out"), None, None, None)
+        assert "coarse_n" not in cfg.resolved
 
     def test_nonpositive_tolerance_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_GRID)
@@ -239,7 +259,7 @@ class TestSubcommands:
     def test_projection_reports_displacements(self, tmp_path):
         cfg = write_config(tmp_path, {
             **SMALL_GRID, "lam": 100.0, "r_values": [0.5],
-            "subsamples": 2, "coarse_n": 24})
+            "subsamples": 2})
         out = tmp_path / "out"
         assert main(["projection", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "projection.json").read_text())

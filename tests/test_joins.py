@@ -171,7 +171,7 @@ class TestProjection:
         h1, h2 = aniso_weights
         zeta = join_at(torus64, 0.5)
         report = homotopy_identity_check(torus64, zeta, 300.0, h1, h2, CURVES,
-                                         subsamples=4, coarse_n=32)
+                                         subsamples=4)
         assert report.atom_displacement_1 <= 3 * torus64.max_spacing
         assert report.atom_displacement_2 <= 3 * torus64.max_spacing
         assert report.r_deviation <= 0.05
@@ -179,7 +179,7 @@ class TestProjection:
     def test_endpoint_regime_is_exact(self, torus64, aniso_weights):
         h1, h2 = aniso_weights
         report = homotopy_identity_check(torus64, join_at(torus64, 0.0), 300.0,
-                                         h1, h2, CURVES, subsamples=4, coarse_n=32)
+                                         h1, h2, CURVES, subsamples=4)
         assert report.r_deviation == 0.0
         assert report.atom_displacement_1 <= 3 * torus64.max_spacing
 
@@ -195,8 +195,18 @@ class TestKrScalingCheck:
         h = torus64.constant_field(1.0)
         curve = kr_scaling_check(torus64, join_at(torus64, 0.5),
                                  np.geomspace(10.0, 1000.0, 5), 1, h, h,
-                                 subsamples=4, coarse_n=32)
+                                 subsamples=4)
         assert curve.slope == pytest.approx(-1.0, abs=0.3)
+
+    def test_two_atom_slopes_are_inverse_scale(self):
+        # k = l = 2 at n=128: the distances are the exact k-median costs
+        torus = FlatTorus(128)
+        h = torus.constant_field(1.0)
+        zeta = join_at(torus, 0.5, 2, 2)
+        for component in (1, 2):
+            curve = kr_scaling_check(torus, zeta, np.geomspace(10.0, 1000.0, 5),
+                                     component, h, h)
+            assert curve.slope == pytest.approx(-1.0, abs=0.15)
 
     def test_rejects_bad_component(self, torus64):
         h = torus64.constant_field(1.0)
@@ -210,5 +220,5 @@ class TestKrScalingCheck:
         h = torus64.constant_field(1.0)
         curve = kr_scaling_check(torus64, join_at(torus64, 0.0),
                                  np.geomspace(10.0, 1000.0, 5), 2, h, h,
-                                 subsamples=2, coarse_n=32)
+                                 subsamples=2)
         assert abs(curve.slope) < 0.2

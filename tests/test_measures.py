@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from torusvar.functionals import RhoPair
@@ -53,6 +54,11 @@ def reference_lp(torus: FlatTorus, w_a, pts_a, w_b, pts_b) -> float:
 def atomic(torus: FlatTorus, weights, coords) -> BarycenterMeasure:
     pts = [torus.point(*c) for c in coords]
     return BarycenterMeasure.of(weights, pts)
+
+
+def route(out) -> tuple:
+    """The swap-invariant part of a transport result: value, route and bound."""
+    return out.distance, out.method, out.error_bound
 
 
 def bump_density(torus: FlatTorus, center: Point, lam: float = 60.0) -> DiscreteMeasure:
@@ -183,6 +189,24 @@ class TestKrTransport:
         fine = kr_transport(f, sigma, coarse_n=96)
         assert abs(rough.distance - fine.distance) <= rough.error_bound + fine.error_bound
 
+    @pytest.mark.parametrize("n, atoms, options, method, bound", [
+        (16, 2, {}, "lp", 0.0),
+        # one side is a single atom: no size limit applies
+        (128, 1, {}, "closed-form", 0.0),
+        # the sides sum past exact_limit but neither exceeds it: nothing coarsens
+        (64, 2, {}, "coarsened-lp", 0.0),
+        (128, 2, {"coarse_n": 48}, "coarsened-lp", np.hypot(0.5, 0.5) / 48),
+        (128, 2, {"coarse_n": 1}, "coarsened-closed-form", np.hypot(0.5, 0.5)),
+    ])
+    def test_each_route_pins_method_bound_and_swap(self, n, atoms, options, method, bound):
+        torus = FlatTorus(n)
+        f = bump_density(torus, Point(0.3, 0.4), lam=8.0)
+        sigma = atomic(torus, [1.0 / atoms] * atoms,
+                       [(0.2 + 0.5 * i, 0.6) for i in range(atoms)])
+        forward = route(kr_transport(f, sigma, **options))
+        assert forward[1:] == (method, bound)
+        assert route(kr_transport(sigma, f, **options)) == forward
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_triangle_inequality_on_atomic_triples(self, seed):
@@ -254,6 +278,46 @@ class TestDistanceToBarycenters:
     def test_rejects_bad_budget(self, torus32):
         with pytest.raises(ValueError):
             distance_to_barycenters(DiscreteMeasure.uniform(torus32), 0)
+
+    def test_distance_keeps_the_cost_cap_on_a_long_torus(self):
+        # diameter above 2: the ground cost min(d, 2) binds
+        torus = FlatTorus(64, 5.0, 0.2)
+        f = DiscreteMeasure.uniform(torus)
+        dist, sigma = distance_to_barycenters(f, 1)
+        assert dist == pytest.approx(kr_transport(f, sigma).distance, rel=1e-12)
+
+    def test_two_atom_distance_equals_an_uncoarsened_lp(self):
+        # 6400 support points: beyond kr_transport's exact limit, so only an
+        # LP over every grid node checks the value
+        torus = FlatTorus(80)
+        f = DiscreteMeasure(
+            torus,
+            bump_density(torus, Point(0.25, 0.3), lam=25.0).density
+            + 0.6 * bump_density(torus, Point(0.7, 0.75), lam=40.0).density).normalized()
+        dist, sigma = distance_to_barycenters(f, 2)
+        assert len(sigma.atoms) == 2
+        assert dist == pytest.approx(dense_to_atoms_lp(f, sigma), rel=1e-9)
+
+
+def dense_to_atoms_lp(f: DiscreteMeasure, sigma: BarycenterMeasure) -> float:
+    """Transportation LP from every grid node to the atoms, with no
+    coarsening; costs come from the 9-image enumeration."""
+    torus = f.torus
+    x1, x2 = (g.ravel() for g in torus.grids())
+    mass = f.density.ravel() * torus.cell_area
+    atoms = sigma.points()
+    cost = np.stack([np.min([np.hypot(x1 - a1 + m1 * torus.L1, x2 - a2 + m2 * torus.L2)
+                             for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)], axis=0)
+                     for a1, a2 in atoms], axis=1)
+    m, n = cost.shape
+    rows = sparse.kron(sparse.eye(m), np.ones((1, n)), format="csr")
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n), format="csr")
+    result = linprog(np.minimum(cost, 2.0).ravel(),
+                     A_eq=sparse.vstack([rows, cols[:-1]], format="csr"),
+                     b_eq=np.concatenate([mass, sigma.weights()[:-1]]),
+                     bounds=(0, None), method="highs")
+    assert result.status == 0
+    return float(result.fun)
 
 
 def ball_nodes(torus: FlatTorus, center: Point, radius: float):
