@@ -57,7 +57,6 @@ from .measures import (
     distance_to_barycenters,
     kr_distance,
     kr_transport,
-    normalize_exp,
     push_forward,
     spread_mass_floor,
 )

@@ -521,6 +521,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "coercive": result.coercive,
         "pde_residual": residual,
     }
@@ -547,9 +548,9 @@ def _run_continuation(cfg: ExperimentConfig) -> int:
     mus = np.linspace(-nu, nu, steps)
     _write_csv(cfg.out / "continuation.csv",
                ["mu", "rho1", "rho2", "energy", "iterations", "residual_norm",
-                "converged"],
+                "converged", "stop_reason"],
                [(float(mu), cfg.rho.rho1 + float(mu), cfg.rho.rho2 + float(mu),
-                 r.energy, r.iterations, r.residual_norm, int(r.converged))
+                 r.energy, r.iterations, r.residual_norm, int(r.converged), r.stop_reason)
                 for mu, r in zip(mus, results)])
     _write_json(cfg.out / "continuation.json", {
         "nu": nu, "steps": steps,

@@ -11,22 +11,29 @@ Two variational problems share this module:
 
 Both are invariant under adding constants to the unknowns, so every
 exponential integral is evaluated with a max-shifted log-sum-exp and the
-returned gradients have zero mean.  Diagnostic ratios for the sharp
+returned gradients have zero mean.  One kernel, `EnergyKernel`, evaluates
+both energies and gradients from a state given as node values plus
+half-spectrum coefficients; the public functions call it.  Diagnostic ratios for the sharp
 exponential-integrability (Moser-Trudinger type) constants live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
+    FlatTorus,
     GridField,
     dirichlet_energy,
+    dirichlet_form,
+    from_spectrum,
     gradient_arrays,
     integrate,
-    laplacian_array,
+    minus_laplacian_symbol,
+    to_spectrum,
 )
 
 
@@ -62,25 +69,127 @@ class EnergyReport:
         return EnergyReport(dirichlet, averages, logexps, total)
 
 
-def log_integral_exp(u: GridField, weight: GridField) -> float:
-    """log int( weight * e^u ) with a max shift; weight >= 0, positive integral."""
-    if u.torus is not weight.torus and u.torus != weight.torus:
-        raise ValueError("field and weight live on different grids")
+def _log_weight(weight: GridField) -> np.ndarray:
+    """log(weight), -inf where it vanishes; weight >= 0 with a positive integral."""
     w = weight.values
     if w.min() < 0 or w.max() <= 0:
         raise ValueError("weight must be non-negative with positive integral")
     with np.errstate(divide="ignore"):
-        t = u.values + np.log(w)
-    m = t.max()
-    return float(m + np.log(np.exp(t - m).sum() * u.torus.cell_area))
+        return np.log(w)
+
+
+def _check_grid(u: GridField, torus: FlatTorus) -> None:
+    if u.torus is not torus and u.torus != torus:
+        raise ValueError("field and weight live on different grids")
+
+
+def _log_integral(t: np.ndarray, cell_area: float) -> tuple[float, np.ndarray, float]:
+    """log int e^t with a max shift, and the shifted exponential e^{t - max t}
+    with its sum."""
+    shift = t.max()
+    e = np.exp(t - shift)
+    total = e.sum()
+    return float(shift + np.log(total * cell_area)), e, total
+
+
+def log_integral_exp(u: GridField, weight: GridField) -> float:
+    """log int( weight * e^u ) with a max shift; weight >= 0, positive integral."""
+    _check_grid(u, weight.torus)
+    return _log_integral(u.values + _log_weight(weight), u.torus.cell_area)[0]
 
 
 def normalized_density(u: GridField, weight: GridField) -> GridField:
     """The probability density weight * e^u / int(weight * e^u)."""
-    logint = log_integral_exp(u, weight)
-    with np.errstate(divide="ignore"):
-        t = u.values + np.log(weight.values)
-    return GridField(u.torus, np.exp(t - logint))
+    _check_grid(u, weight.torus)
+    _, e, total = _log_integral(u.values + _log_weight(weight), u.torus.cell_area)
+    return GridField(u.torus, e / (total * u.torus.cell_area))
+
+
+class Evaluation(NamedTuple):
+    """One energy evaluation: the report and, per exponential term, the shifted
+    exponential e^{t - max t} with its sum, which the gradient reuses."""
+
+    report: EnergyReport
+    exponentials: tuple[tuple[np.ndarray, float], ...]
+
+
+@dataclass(frozen=True)
+class EnergyKernel:
+    """J_rho or I_rho with the grid, the weights and the strengths fixed.
+
+    A state is passed twice: as node values, for the exponential terms, and
+    as half-spectrum coefficients, for the Dirichlet part by Parseval.  The
+    Dirichlet part is 1/2 sum_ij mixing[i][j] int grad u_i . grad u_j.  The
+    k-th exponential term, (component c, sign s), adds
+    rho_k (s int u_c - log int h_k e^{s u_c}), with log h_k in log_weights[k]."""
+
+    torus: FlatTorus
+    rho: RhoPair
+    mixing: tuple[tuple[float, ...], ...]
+    terms: tuple[tuple[int, float], ...]
+    log_weights: tuple[np.ndarray, ...]
+
+    @staticmethod
+    def toda(h1: GridField, h2: GridField, rho: RhoPair) -> "EnergyKernel":
+        _check_grid(h2, h1.torus)
+        return EnergyKernel(h1.torus, rho, ((2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0)),
+                            ((0, 1.0), (1, 1.0)), (_log_weight(h1), _log_weight(h2)))
+
+    @staticmethod
+    def meanfield(h: GridField, rho: RhoPair) -> "EnergyKernel":
+        log_h = _log_weight(h)
+        return EnergyKernel(h.torus, rho, ((1.0,),), ((0, 1.0), (0, -1.0)), (log_h, log_h))
+
+    def evaluate(self, values: Sequence[np.ndarray],
+                 spectra: Sequence[np.ndarray]) -> Evaluation:
+        """The energy of the state with node values `values` and half spectra `spectra`."""
+        torus = self.torus
+        dirichlet = 0.0
+        for i, row in enumerate(self.mixing):
+            dirichlet += 0.5 * row[i] * dirichlet_form(torus, spectra[i], spectra[i])
+            for j in range(i + 1, len(row)):
+                dirichlet += row[j] * dirichlet_form(torus, spectra[i], spectra[j])
+        averages, logexps, exponentials = [], [], []
+        for (c, sign), log_h in zip(self.terms, self.log_weights):
+            t = values[c] + log_h if sign > 0 else log_h - values[c]
+            logexp, e, total = _log_integral(t, torus.cell_area)
+            averages.append(sign * float(values[c].sum() * torus.cell_area))
+            logexps.append(logexp)
+            exponentials.append((e, total))
+        report = EnergyReport.assemble(dirichlet, tuple(averages), tuple(logexps), self.rho)
+        return Evaluation(report, tuple(exponentials))
+
+    def gradient(self, spectra: Sequence[np.ndarray], at: Evaluation) -> list[np.ndarray]:
+        """Half spectra of the L2 gradient at the state `at` evaluated, with the
+        constant mode set to zero."""
+        cell_area = self.torus.cell_area
+        # term k contributes rho_k s (1 - f_k), f_k = e_k / (sum e_k * cell_area);
+        # its constant only reaches the zero mode, which is dropped
+        nonlinear: list = [0.0] * len(self.mixing)
+        for (c, sign), rho_k, (e, total) in zip(self.terms, self.rho, at.exponentials):
+            nonlinear[c] = nonlinear[c] - (sign * rho_k / (total * cell_area)) * e
+        minus_lap = minus_laplacian_symbol(self.torus)
+        grads = []
+        for row, part in zip(self.mixing, nonlinear):
+            g = minus_lap * sum(a * s for a, s in zip(row, spectra)) + to_spectrum(part)
+            g[0, 0] = 0.0
+            grads.append(g)
+        return grads
+
+    def _state(self, fields: Sequence[GridField]) -> tuple[list, list]:
+        for f in fields:
+            _check_grid(f, self.torus)
+        values = [f.values for f in fields]
+        return values, [to_spectrum(v) for v in values]
+
+    def energy_of(self, *fields: GridField) -> EnergyReport:
+        values, spectra = self._state(fields)
+        return self.evaluate(values, spectra).report
+
+    def gradient_of(self, *fields: GridField) -> tuple[GridField, ...]:
+        values, spectra = self._state(fields)
+        grads = self.gradient(spectra, self.evaluate(values, spectra))
+        return tuple(GridField(self.torus, from_spectrum(self.torus, g)) for g in grads)
 
 
 # ----- two-component system -------------------------------------------------
@@ -99,51 +208,31 @@ def q_density(u1: GridField, u2: GridField) -> GridField:
 def toda_energy(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
                 rho: RhoPair) -> EnergyReport:
     """J_rho(u1, u2) = int Q + sum_i rho_i (int u_i - log int h_i e^{u_i})."""
-    dirichlet = integrate(q_density(u1, u2))
-    averages = (integrate(u1), integrate(u2))
-    logexps = (log_integral_exp(u1, h1), log_integral_exp(u2, h2))
-    return EnergyReport.assemble(dirichlet, averages, logexps, rho)
+    return EnergyKernel.toda(h1, h2, rho).energy_of(u1, u2)
 
 
 def toda_gradient(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
                   rho: RhoPair) -> tuple[GridField, GridField]:
-    """L2 gradient of J_rho; both components returned with exactly zero mean.
+    """L2 gradient of J_rho; both components returned with zero mean.
 
     A zero of this pair solves the strong system
         -Lap u1 = 2 rho1 (f1 - 1) - rho2 (f2 - 1),
         -Lap u2 = 2 rho2 (f2 - 1) - rho1 (f1 - 1),
     with f_i = h_i e^{u_i} / int h_i e^{u_i}."""
-    lap1 = laplacian_array(u1.torus, u1.values)
-    lap2 = laplacian_array(u2.torus, u2.values)
-    f1 = normalized_density(u1, h1).values
-    f2 = normalized_density(u2, h2).values
-    g1 = -(2.0 / 3.0) * lap1 - (1.0 / 3.0) * lap2 + rho.rho1 * (1.0 - f1)
-    g2 = -(1.0 / 3.0) * lap1 - (2.0 / 3.0) * lap2 + rho.rho2 * (1.0 - f2)
-    g1 -= g1.mean()
-    g2 -= g2.mean()
-    return GridField(u1.torus, g1), GridField(u2.torus, g2)
+    return EnergyKernel.toda(h1, h2, rho).gradient_of(u1, u2)
 
 
 # ----- scalar sinh-type functional ------------------------------------------
 
 def meanfield_energy(u: GridField, h: GridField, rho: RhoPair) -> EnergyReport:
     """I_rho(u) with the two exponential terms carrying opposite signs of u."""
-    dirichlet = 0.5 * dirichlet_energy(u)
-    avg = integrate(u)
-    minus_u = GridField(u.torus, -u.values)
-    logexps = (log_integral_exp(u, h), log_integral_exp(minus_u, h))
-    return EnergyReport.assemble(dirichlet, (avg, -avg), logexps, rho)
+    return EnergyKernel.meanfield(h, rho).energy_of(u)
 
 
 def meanfield_gradient(u: GridField, h: GridField, rho: RhoPair) -> GridField:
     """L2 gradient of I_rho, zero exactly when
     -Lap u = rho1 (f+ - 1) - rho2 (f- - 1), f+- = h e^{+-u} / int h e^{+-u}."""
-    lap = laplacian_array(u.torus, u.values)
-    f_plus = normalized_density(u, h).values
-    f_minus = normalized_density(GridField(u.torus, -u.values), h).values
-    g = -lap - rho.rho1 * (f_plus - 1.0) + rho.rho2 * (f_minus - 1.0)
-    g -= g.mean()
-    return GridField(u.torus, g)
+    return EnergyKernel.meanfield(h, rho).gradient_of(u)[0]
 
 
 # ----- sharp-constant diagnostics -------------------------------------------
@@ -165,9 +254,7 @@ def mt_ratio(u: GridField) -> float:
 
 
 def mt_system_gap(u1: GridField, u2: GridField, h1: GridField, h2: GridField) -> float:
-    """int Q - 4 pi sum_i (log int h_i e^{u_i} - int u_i); bounded below over all pairs."""
-    dirichlet = integrate(q_density(u1, u2))
-    gap = dirichlet
-    for u, h in ((u1, h1), (u2, h2)):
-        gap -= 4.0 * np.pi * (log_integral_exp(u, h) - integrate(u))
-    return float(gap)
+    """int Q - 4 pi sum_i (log int h_i e^{u_i} - int u_i); bounded below over all pairs.
+
+    This is J_rho at rho = (4 pi, 4 pi)."""
+    return toda_energy(u1, u2, h1, h2, RhoPair(4.0 * np.pi, 4.0 * np.pi)).total

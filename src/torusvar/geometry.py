@@ -3,8 +3,9 @@
 Everything lives on a periodic n-by-n grid over [0, L1) x [0, L2) with
 L1 * L2 = 1 (unit total area).  Fields are sampled at the nodes
 (i * L1/n, j * L2/n); axis 0 of a value array runs along x1, axis 1 along x2.
-Derivatives and Poisson solves are spectral (discrete Fourier), so smooth
-periodic fields are differentiated to near machine precision.
+Derivatives and Poisson solves are spectral (real discrete Fourier transforms
+on the half spectrum), so smooth periodic fields are differentiated to near
+machine precision.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 
 
 class Point(NamedTuple):
@@ -226,21 +228,68 @@ def validate_singular_clearance(torus: FlatTorus, singular: SingularData,
 
 
 # ----- spectral calculus ----------------------------------------------------
+#
+# Real fields are transformed with rfft2 over both axes, so coefficient arrays
+# hold the half spectrum: all n frequencies along x1 (axis 0) and the n/2 + 1
+# non-negative ones along x2 (axis 1).  Every symbol below has that shape.
 
 @lru_cache(maxsize=64)
 def _spectral_tables(torus: FlatTorus) -> dict:
-    """Wavenumber tables for an n x n grid: first-derivative symbols drop the
-    Nyquist mode (odd derivative of a real field), the Laplacian keeps it."""
+    """Half-spectrum tables for an n x n grid.
+
+    First-derivative symbols drop the Nyquist row and column (odd derivative
+    of a real field), the Laplacian keeps them.  `parseval` weighs each
+    coefficient by how often it occurs in the full spectrum (the zero and
+    Nyquist columns once, every other column twice) times cell_area / n^2, so
+    sum(parseval * a_hat * conj(b_hat)).real is the quadrature of a * b;
+    `dirichlet` does the same for grad a . grad b.  The arrays are shared
+    by every caller and read-only."""
     n = torus.n
     h1, h2 = torus.spacing
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h1)
-    k2 = 2.0 * np.pi * np.fft.fftfreq(n, d=h2)
-    minus_lap = k1[:, None] ** 2 + k2[None, :] ** 2
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h1)[:, None]
+    k2 = 2.0 * np.pi * np.fft.rfftfreq(n, d=h2)[None, :]
     k1d = k1.copy()
     k2d = k2.copy()
     k1d[n // 2] = 0.0
-    k2d[n // 2] = 0.0
-    return {"minus_lap": minus_lap, "k1d": k1d[:, None], "k2d": k2d[None, :]}
+    k2d[:, -1] = 0.0
+    parseval = np.full((n, n // 2 + 1), 2.0 * torus.cell_area / (n * n))
+    parseval[:, 0] /= 2.0
+    parseval[:, -1] /= 2.0
+    tables = {"minus_lap": k1 * k1 + k2 * k2, "k1d": k1d, "k2d": k2d,
+              "parseval": parseval, "dirichlet": parseval * (k1d * k1d + k2d * k2d)}
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def to_spectrum(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of a real n x n array."""
+    return sp_fft.rfft2(values)
+
+
+def from_spectrum(torus: FlatTorus, coeffs: np.ndarray) -> np.ndarray:
+    """The real n x n array whose half spectrum is coeffs."""
+    return sp_fft.irfft2(coeffs, s=(torus.n, torus.n))
+
+
+def minus_laplacian_symbol(torus: FlatTorus) -> np.ndarray:
+    """|k|^2 on the half spectrum (read-only)."""
+    return _spectral_tables(torus)["minus_lap"]
+
+
+def _weighted_inner(weights: np.ndarray, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    return float(np.vdot(b_hat, weights * a_hat).real)
+
+
+def spectral_inner(torus: FlatTorus, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    """int a b from half-spectrum coefficients (Parseval)."""
+    return _weighted_inner(_spectral_tables(torus)["parseval"], a_hat, b_hat)
+
+
+def dirichlet_form(torus: FlatTorus, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    """int grad a . grad b from half-spectrum coefficients (Parseval), with the
+    same Nyquist-free derivative symbols as `gradient_arrays`."""
+    return _weighted_inner(_spectral_tables(torus)["dirichlet"], a_hat, b_hat)
 
 
 def integrate(f: GridField) -> float:
@@ -256,10 +305,9 @@ def gradient(f: GridField) -> tuple[GridField, GridField]:
 
 def gradient_arrays(torus: FlatTorus, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tab = _spectral_tables(torus)
-    vh = np.fft.fft2(values)
-    g1 = np.fft.ifft2(1j * tab["k1d"] * vh).real
-    g2 = np.fft.ifft2(1j * tab["k2d"] * vh).real
-    return g1, g2
+    vh = to_spectrum(values)
+    return (from_spectrum(torus, 1j * tab["k1d"] * vh),
+            from_spectrum(torus, 1j * tab["k2d"] * vh))
 
 
 def laplacian(f: GridField) -> GridField:
@@ -267,20 +315,18 @@ def laplacian(f: GridField) -> GridField:
 
 
 def laplacian_array(torus: FlatTorus, values: np.ndarray) -> np.ndarray:
-    tab = _spectral_tables(torus)
-    return np.fft.ifft2(-tab["minus_lap"] * np.fft.fft2(values)).real
+    return from_spectrum(torus, -minus_laplacian_symbol(torus) * to_spectrum(values))
 
 
 def dirichlet_energy(f: GridField) -> float:
     """Integral of |grad f|^2 over the torus."""
-    g1, g2 = gradient_arrays(f.torus, f.values)
-    return float((g1 * g1 + g2 * g2).sum() * f.torus.cell_area)
+    coeffs = to_spectrum(f.values)
+    return dirichlet_form(f.torus, coeffs, coeffs)
 
 
 def helmholtz_solve(torus: FlatTorus, rhs: np.ndarray, tau: float) -> np.ndarray:
     """Solve (-Laplacian + tau) u = rhs spectrally (tau > 0)."""
-    tab = _spectral_tables(torus)
-    return np.fft.ifft2(np.fft.fft2(rhs) / (tab["minus_lap"] + tau)).real
+    return from_spectrum(torus, to_spectrum(rhs) / (minus_laplacian_symbol(torus) + tau))
 
 
 def greens_function(torus: FlatTorus, p: Point) -> GridField:
@@ -289,13 +335,11 @@ def greens_function(torus: FlatTorus, p: Point) -> GridField:
     i, j = torus.nearest_node(p)
     rhs = np.full((torus.n, torus.n), -1.0)
     rhs[i, j] += 1.0 / torus.cell_area
-    tab = _spectral_tables(torus)
-    rhat = np.fft.fft2(rhs)
-    denom = tab["minus_lap"].copy()
+    denom = minus_laplacian_symbol(torus).copy()
     denom[0, 0] = 1.0
-    ghat = rhat / denom
+    ghat = to_spectrum(rhs) / denom
     ghat[0, 0] = 0.0
-    return GridField(torus, np.fft.ifft2(ghat).real)
+    return GridField(torus, from_spectrum(torus, ghat))
 
 
 def desingularized_weight(h: GridField, singular: SingularData, component: int) -> GridField:

@@ -26,14 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import RhoPair, log_integral_exp, meanfield_energy, toda_energy
+from .functionals import RhoPair, meanfield_energy, normalized_density, toda_energy
 from .geometry import CurveSystem, FlatTorus, GridField, Point, subcell_offsets
 from .measures import (
     BarycenterMeasure,
     DiscreteMeasure,
     distance_to_barycenters,
     kr_transport,
-    normalize_exp,
     push_forward,
 )
 
@@ -225,8 +224,8 @@ def psi_map(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
     merge).  When both densities stay farther than `admission` from their
     atomic sets, the pair is outside the concentration regime and the map is
     not defined."""
-    f1 = normalize_exp(h1, u1)
-    f2 = normalize_exp(h2, u2)
+    f1 = DiscreteMeasure.from_field(normalized_density(u1, h1))
+    f2 = DiscreteMeasure.from_field(normalized_density(u2, h2))
     d1, sigma1 = distance_to_barycenters(f1, k)
     d2, sigma2 = distance_to_barycenters(f2, l)
     if d1 > admission and d2 > admission:
@@ -283,7 +282,7 @@ def kr_scaling_check(torus: FlatTorus, zeta: JoinElement, lambdas: Sequence[floa
     for lam in lams:
         phi1, phi2 = test_function(torus, zeta, lam, subsamples)
         phi = phi1 if component == 1 else phi2
-        f = normalize_exp(h, phi)
+        f = DiscreteMeasure.from_field(normalized_density(phi, h))
         d, _ = distance_to_barycenters(f, capacity)
         dists.append(d)
         scales.append(zeta.scales(lam)[component - 1])

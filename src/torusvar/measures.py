@@ -120,11 +120,6 @@ class BarycenterMeasure:
 Measure = Union[DiscreteMeasure, BarycenterMeasure]
 
 
-def normalize_exp(h: GridField, u: GridField) -> DiscreteMeasure:
-    """The probability density h e^u / int h e^u (max-shifted exponentials)."""
-    return DiscreteMeasure.from_field(normalized_density(u, h))
-
-
 def push_forward(sigma: BarycenterMeasure, curves: CurveSystem, component: int) -> BarycenterMeasure:
     """Image of an atomic measure under the retraction onto curve `component`;
     atoms that land on the same point are merged."""
@@ -584,7 +579,7 @@ def concentration_alternative(u1: GridField, u2: GridField, h1: GridField, h2: G
     atomic measure built from ball masses plus equal residual shares is
     returned; its distance to the density is below 2*eps + s by construction."""
     for component, (u, h, budget) in enumerate(((u1, h1, k), (u2, h2, l)), start=1):
-        f = normalize_exp(h, u)
+        f = DiscreteMeasure.from_field(normalized_density(u, h))
         captured, centers = _concentration_centers(f, budget, s)
         if captured >= 1.0 - eps:
             sigma = _atomic_reconstruction(f, centers, s, budget) if centers else None

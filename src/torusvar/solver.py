@@ -2,9 +2,20 @@
 
 The descent direction is the L2 gradient smoothed by the spectral inverse of
 (-Laplacian + tau) — the natural H1-type preconditioner on the torus — with
-Armijo backtracking and a mean-zero gauge applied to every iterate (the
-energies only see mean-free fields).  Convergence is declared on the L2 norm
-of the preconditioned gradient.
+Armijo backtracking.  Convergence is declared on the L2 norm of the
+preconditioned gradient.
+
+The iterate is held in two forms at once: node values and half-spectrum
+(real-FFT) coefficients, with the constant mode kept at zero (the energies
+only see mean-free fields).  A line-search trial is s + t d in both forms:
+its Dirichlet part comes from the coefficients by Parseval and its
+exponential terms from the node values, so a trial needs no transform.  One
+iteration takes, per component, one forward transform of the nonlinear
+part of the gradient (its linear part is A |k|^2 u_hat) and one inverse
+transform of the direction d_hat = -g_hat / (|k|^2 + tau): four transforms
+for the two-component problem, two for the scalar one.  The residual and
+the slope are Parseval sums.  `SolveResult.stop_reason` says which of the
+five exits ended the descent.
 
 `pde_residual` assembles the strong-form equations directly (its own density
 normalization, not the energy-gradient code path) so a converged result can
@@ -23,22 +34,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .functionals import (
-    RhoPair,
-    meanfield_energy,
-    meanfield_gradient,
-    toda_energy,
-    toda_gradient,
-)
+from .functionals import EnergyKernel, Evaluation, RhoPair
 from .geometry import (
-    FlatTorus,
     GridField,
     Point,
     SingularData,
     desingularized_weight,
-    helmholtz_solve,
-    integrate,
+    from_spectrum,
     laplacian_array,
+    minus_laplacian_symbol,
+    spectral_inner,
+    to_spectrum,
 )
 from .quantization import blowup_candidates, global_lambda, nearest_scalar_line, scalar_blowup_value
 
@@ -52,6 +58,8 @@ class SolverConfig:
     preconditioner_shift: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.max_iterations < 0:
+            raise ValueError("iteration cap must be non-negative")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient tolerance must be positive")
         if not 0.0 < self.shrink < 1.0:
@@ -68,6 +76,9 @@ class SolveResult:
     iterations: int
     converged: bool
     coercive: bool
+    # why the descent stopped: "converged", "iteration-cap", "no-descent",
+    # "line-search-failed" or "stalled" (energy at the float floor)
+    stop_reason: str
 
 
 def _weights(problem: str, h, singular: SingularData) -> tuple[GridField, GridField]:
@@ -99,72 +110,69 @@ def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
     """Preconditioned descent on the chosen energy from the given (or zero) state."""
     h1, h2 = _weights(problem, h, singular)
     torus = h1.torus
-    tau = config.preconditioner_shift
-    ncomp = 2 if problem == "toda" else 1
+    kernel = (EnergyKernel.toda(h1, h2, rho) if problem == "toda"
+              else EnergyKernel.meanfield(h1, rho))
+    ncomp = len(kernel.mixing)
     if initial is None:
-        state = [np.zeros((torus.n, torus.n)) for _ in range(ncomp)]
+        values = [np.zeros((torus.n, torus.n)) for _ in range(ncomp)]
     else:
         if len(initial) != ncomp:
             raise ValueError(f"initial guess must have {ncomp} component(s)")
-        state = [f.values - f.values.mean() for f in initial]
+        values = [f.values - f.values.mean() for f in initial]
+    spectra = [to_spectrum(v) for v in values]
+    for coeffs in spectra:
+        coeffs[0, 0] = 0.0
+    descent = -1.0 / (minus_laplacian_symbol(torus) + config.preconditioner_shift)
 
-    def energy(vals: list[np.ndarray]) -> float:
-        if problem == "toda":
-            return toda_energy(GridField(torus, vals[0]), GridField(torus, vals[1]),
-                               h1, h2, rho).total
-        return meanfield_energy(GridField(torus, vals[0]), h1, rho).total
+    def steepest(spectra: list, at: Evaluation) -> tuple[list, list, float]:
+        """Gradient, preconditioned descent direction and its L2 norm, as half spectra."""
+        g = kernel.gradient(spectra, at)
+        d = [gi * descent for gi in g]
+        return g, d, float(np.sqrt(sum(spectral_inner(torus, di, di) for di in d)))
 
-    def grad(vals: list[np.ndarray]) -> list[np.ndarray]:
-        if problem == "toda":
-            g1, g2 = toda_gradient(GridField(torus, vals[0]), GridField(torus, vals[1]),
-                                   h1, h2, rho)
-            return [g1.values, g2.values]
-        return [meanfield_gradient(GridField(torus, vals[0]), h1, rho).values]
-
-    current = energy(state)
-    converged = False
-    residual = np.inf
+    evaluation = kernel.evaluate(values, spectra)
+    current = evaluation.report.total
+    reason = "iteration-cap"
     iterations = 0
     for iterations in range(config.max_iterations + 1):
-        g = grad(state)
-        direction = [-helmholtz_solve(torus, gi, tau) for gi in g]
-        residual = float(np.sqrt(sum((d * d).sum() for d in direction) * torus.cell_area))
+        g_hat, d_hat, residual = steepest(spectra, evaluation)
         if residual <= config.gradient_tolerance:
-            converged = True
+            reason = "converged"
             break
         if iterations == config.max_iterations:
             break
-        slope = float(sum((gi * di).sum() for gi, di in zip(g, direction)) * torus.cell_area)
+        slope = sum(spectral_inner(torus, gi, di) for gi, di in zip(g_hat, d_hat))
         if slope >= 0.0:
-            break  # no descent available: stagnate honestly
+            reason = "no-descent"  # only round-off can get here: stagnate honestly
+            break
+        direction = [from_spectrum(torus, di) for di in d_hat]
         step = 1.0
         accepted = False
         while step > 1e-16:
-            trial = [s + step * d for s, d in zip(state, direction)]
-            trial = [t - t.mean() for t in trial]
-            value = energy(trial)
+            trial_values = [v + step * d for v, d in zip(values, direction)]
+            trial_spectra = [s + step * d for s, d in zip(spectra, d_hat)]
+            trial = kernel.evaluate(trial_values, trial_spectra)
+            value = trial.report.total
             if value <= current + config.sufficient_decrease * step * slope:
                 accepted = True
                 break
             step *= config.shrink
         if not accepted:
+            reason = "line-search-failed"
             break
         if value > current + 1e-12:
             raise RuntimeError("line search accepted an energy increase")
         stalled = current - value <= 4.0 * np.finfo(float).eps * (1.0 + abs(current))
-        state, current = trial, value
+        values, spectra, evaluation, current = trial_values, trial_spectra, trial, value
         if stalled:
-            break  # energy is at the floating-point floor; no further progress
+            # energy is at the floating-point floor; no further progress
+            residual = steepest(spectra, evaluation)[2]
+            reason = "converged" if residual <= config.gradient_tolerance else "stalled"
+            break
 
-    if not converged:
-        g = grad(state)
-        direction = [-helmholtz_solve(torus, gi, tau) for gi in g]
-        residual = float(np.sqrt(sum((d * d).sum() for d in direction) * torus.cell_area))
-        converged = residual <= config.gradient_tolerance
-
-    fields = tuple(GridField(torus, s) for s in state)
-    return SolveResult(fields, current, residual, iterations, converged,
-                       _is_coercive(problem, rho))
+    fields = tuple(GridField(torus, v) for v in values)
+    return SolveResult(fields, current, residual, iterations, reason == "converged",
+                       _is_coercive(problem, rho), reason)
 
 
 def pde_residual(u: Sequence[GridField], h, rho: RhoPair, singular: SingularData) -> float:

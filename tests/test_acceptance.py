@@ -18,6 +18,7 @@ from torusvar.functionals import (
     RhoPair,
     meanfield_energy,
     meanfield_gradient,
+    normalized_density,
     toda_energy,
     toda_gradient,
 )
@@ -47,7 +48,6 @@ from torusvar.measures import (
     detect_spread,
     kr_distance,
     kr_transport,
-    normalize_exp,
     spread_mass_floor,
 )
 from torusvar.quantization import (
@@ -365,12 +365,13 @@ def test_criterion_10_covering_and_spread_postconditions():
     u1, u2 = peak_pair(torus, zeta, 200.0)
     eps, s = 0.25, 0.15
     alt = concentration_alternative(u1, u2, h, h, k=1, l=1, eps=eps, s=s)
-    gap = kr_transport(normalize_exp(h, u1), alt.sigma).distance
+    gap = kr_transport(DiscreteMeasure.from_field(normalized_density(u1, h)), alt.sigma).distance
     zero = torus.constant_field(0.0)
     neither = concentration_alternative(zero, zero, h, h, k=1, l=1, eps=0.1, s=0.1)
     dichotomy_ok = (alt.component == 1 and gap < 2 * eps + s
                     and neither.component == 0
-                    and detect_spread(normalize_exp(h, zero), 1, 0.1, 0.1) is not None)
+                    and detect_spread(DiscreteMeasure.from_field(normalized_density(zero, h)),
+                                      1, 0.1, 0.1) is not None)
 
     certify(10, "covering/spread constructions", covering_ok and spread_ok and dichotomy_ok,
             f"separation {separation:.4f} >= {delta / 8}, masses >= "

@@ -209,6 +209,7 @@ class TestSubcommands:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
         report = json.loads((out / "solve.json").read_text())
         assert report["converged"] is False
+        assert report["stop_reason"] == "iteration-cap"
 
     def test_solve_mass_report(self, tmp_path):
         cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "meanfield",
@@ -237,7 +238,9 @@ class TestSubcommands:
         assert main(["continuation", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "continuation.csv").read_text().splitlines()
         assert lines[0].startswith("mu,rho1,rho2,energy")
+        assert lines[0].endswith(",converged,stop_reason")
         assert len(lines) == 4
+        assert all(line.endswith(",1,converged") for line in lines[1:])
         report = json.loads((out / "continuation.json").read_text())
         assert report["all_converged"] is True
         assert len(report["energies"]) == 3

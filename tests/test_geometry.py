@@ -11,15 +11,21 @@ from torusvar.geometry import (
     CurveSystem,
     desingularized_weight,
     dirichlet_energy,
+    dirichlet_form,
     gradient,
+    gradient_arrays,
     greens_function,
     helmholtz_solve,
     integrate,
     laplacian,
+    laplacian_array,
     random_smooth_field,
+    spectral_inner,
     subcell_offsets,
+    to_spectrum,
     validate_singular_clearance,
 )
+from torusvar.functionals import q_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,6 +154,90 @@ class TestCalculus:
         u = torus64.field(np.cos(np.pi * torus64.n * x1))
         g1, _ = gradient(u)
         assert np.abs(g1.values).max() < 1e-9
+
+
+class ComplexReference:
+    """Full-spectrum complex np.fft versions of the spectral kernels, the way
+    they were computed before the half-spectrum tables: oracle for the
+    real-FFT code."""
+
+    def __init__(self, torus: FlatTorus):
+        n = torus.n
+        h1, h2 = torus.spacing
+        k1 = TWO_PI * np.fft.fftfreq(n, d=h1)
+        k2 = TWO_PI * np.fft.fftfreq(n, d=h2)
+        self.minus_lap = k1[:, None] ** 2 + k2[None, :] ** 2
+        self.k1d, self.k2d = k1.copy(), k2.copy()
+        self.k1d[n // 2] = 0.0
+        self.k2d[n // 2] = 0.0
+        self.torus = torus
+
+    def laplacian(self, v):
+        return np.fft.ifft2(-self.minus_lap * np.fft.fft2(v)).real
+
+    def gradient(self, v):
+        vh = np.fft.fft2(v)
+        return (np.fft.ifft2(1j * self.k1d[:, None] * vh).real,
+                np.fft.ifft2(1j * self.k2d[None, :] * vh).real)
+
+    def helmholtz(self, v, tau):
+        return np.fft.ifft2(np.fft.fft2(v) / (self.minus_lap + tau)).real
+
+    def greens(self, p):
+        i, j = self.torus.nearest_node(p)
+        rhs = np.full((self.torus.n, self.torus.n), -1.0)
+        rhs[i, j] += 1.0 / self.torus.cell_area
+        denom = self.minus_lap.copy()
+        denom[0, 0] = 1.0
+        ghat = np.fft.fft2(rhs) / denom
+        ghat[0, 0] = 0.0
+        return np.fft.ifft2(ghat).real
+
+
+ORACLE_TORI = (FlatTorus(64), FlatTorus(48, 2.0, 0.5))
+
+
+def close_to(actual, expected, rel=1e-12):
+    """Agreement to rel times the largest entry of the reference."""
+    return np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+class TestRealTransformsAgainstComplexReference:
+    # white noise carries every mode, the Nyquist row and column included
+
+    @pytest.mark.parametrize("torus", ORACLE_TORI, ids=("square", "anisotropic"))
+    def test_laplacian_gradient_and_helmholtz(self, torus):
+        ref = ComplexReference(torus)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.standard_normal((torus.n, torus.n))
+            assert close_to(laplacian_array(torus, v), ref.laplacian(v))
+            for mine, theirs in zip(gradient_arrays(torus, v), ref.gradient(v)):
+                assert close_to(mine, theirs)
+            for tau in (1.0, 1e-3):
+                assert close_to(helmholtz_solve(torus, v, tau), ref.helmholtz(v, tau))
+
+    @pytest.mark.parametrize("torus", ORACLE_TORI, ids=("square", "anisotropic"))
+    def test_greens_function(self, torus):
+        ref = ComplexReference(torus)
+        for p in (Point(0.37, 0.21), Point(0.0, 0.0), Point(1.5, 0.49)):
+            p = torus.point(*p)
+            assert close_to(greens_function(torus, p).values, ref.greens(p))
+
+    @pytest.mark.parametrize("torus", ORACLE_TORI, ids=("square", "anisotropic"))
+    def test_parseval_forms_match_real_space_quadrature(self, torus):
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            u1 = torus.field(rng.standard_normal((torus.n, torus.n)))
+            u2 = torus.field(rng.standard_normal((torus.n, torus.n)))
+            a, b = to_spectrum(u1.values), to_spectrum(u2.values)
+            form = (dirichlet_form(torus, a, a) + dirichlet_form(torus, b, b)
+                    + dirichlet_form(torus, a, b)) / 3.0
+            assert form == pytest.approx(integrate(q_density(u1, u2)), rel=1e-12)
+            assert dirichlet_form(torus, a, b) == pytest.approx(dirichlet_form(torus, b, a),
+                                                               rel=1e-12)
+            assert spectral_inner(torus, a, b) == pytest.approx(
+                integrate(torus.field(u1.values * u2.values)), rel=1e-12)
 
 
 class TestGreensFunction:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from torusvar.functionals import RhoPair
+from torusvar.functionals import RhoPair, normalized_density
 from torusvar.geometry import CurveSystem, FlatTorus, GridField, Point
 from torusvar.joins import JoinElement
 from torusvar.joins import test_function as peak_pair
@@ -21,7 +21,6 @@ from torusvar.measures import (
     distance_to_barycenters,
     kr_distance,
     kr_transport,
-    normalize_exp,
     push_forward,
     spread_mass_floor,
 )
@@ -230,7 +229,7 @@ class TestNormalizeExp:
         rng = np.random.default_rng(9)
         h = torus32.field(1.0 + 0.5 * rng.random((32, 32)))
         u = torus32.field(rng.standard_normal((32, 32)))
-        f = normalize_exp(h, u)
+        f = DiscreteMeasure.from_field(normalized_density(u, h))
         raw = h.values * np.exp(u.values)
         assert np.allclose(f.density, raw / (raw.sum() * torus32.cell_area), atol=1e-12)
         assert f.mass() == pytest.approx(1.0, abs=1e-12)
@@ -422,7 +421,7 @@ class TestConcentrationAlternative:
         result = concentration_alternative(u1, u2, h, h, k=1, l=1, eps=eps, s=s)
         assert result.component == 1
         assert result.sigma is not None and len(result.sigma.atoms) <= 1
-        f1 = normalize_exp(h, u1)
+        f1 = DiscreteMeasure.from_field(normalized_density(u1, h))
         reconstruction_gap = kr_transport(f1, result.sigma).distance
         assert reconstruction_gap < 2 * eps + s  # the promised closeness budget
 
@@ -433,5 +432,6 @@ class TestConcentrationAlternative:
         assert result.component == 0
         assert result.centers is None and result.sigma is None
         # the spread witnesses come from the dedicated detector
-        spread = detect_spread(normalize_exp(h, zero), m=1, eps=0.1, s=0.1)
+        spread = detect_spread(DiscreteMeasure.from_field(normalized_density(zero, h)),
+                               m=1, eps=0.1, s=0.1)
         assert spread is not None and len(spread) == 1
