@@ -90,11 +90,18 @@ class FlatTorus:
         return float(np.hypot(d1, d2))
 
     def distance_field(self, p: Point, offset: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-        """Distances d(node + offset, p) for all grid nodes, as a raw n x n array."""
+        """Distances d(node + offset, p) for all grid nodes, as a raw n x n array:
+        sqrt(d1^2[:, None] + d2^2[None, :]) from the per-axis minimum-image
+        displacements d1, d2 (see `squared_distance_field`)."""
+        return np.sqrt(self.squared_distance_field(p, offset))
+
+    def squared_distance_field(self, p: Point,
+                               offset: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+        """Squared distances d(node + offset, p)^2 for all grid nodes, n x n."""
         x1, x2 = self.axes()
         d1 = _min_image(x1 + offset[0] - p.x1, self.L1)
         d2 = _min_image(x2 + offset[1] - p.x2, self.L2)
-        return np.hypot(d1[:, None], d2[None, :])
+        return (d1 * d1)[:, None] + (d2 * d2)[None, :]
 
     def displacement(self, a: np.ndarray, b: np.ndarray, axis_length: float) -> np.ndarray:
         """Signed minimum-image displacement a - b along one axis (vectorized)."""

@@ -100,7 +100,7 @@ def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
     for offset in subcell_offsets(torus, subsamples):
         mix = np.zeros((torus.n, torus.n))
         for t, p in sigma.atoms:
-            d2 = torus.distance_field(p, offset) ** 2
+            d2 = torus.squared_distance_field(p, offset)
             mix += t / (1.0 + scale**2 * d2) ** 2
         acc += np.log(mix)
     return acc / subsamples**2

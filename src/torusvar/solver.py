@@ -64,6 +64,8 @@ class SolverConfig:
             raise ValueError("gradient tolerance must be positive")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("backtracking shrink factor must lie in (0, 1)")
+        if not 0.0 < self.sufficient_decrease < 1.0:
+            raise ValueError("sufficient-decrease (Armijo) constant must lie in (0, 1)")
         if self.preconditioner_shift <= 0:
             raise ValueError("preconditioner shift must be positive")
 

@@ -59,6 +59,11 @@ class TestConfigValidation:
                                       "h": {"profile": "sin-bump", "amplitude": 1.5}})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("value", (0.0, 1.0, 2.0))
+    def test_sufficient_decrease_outside_the_unit_interval_exits_2(self, tmp_path, value):
+        cfg = write_config(tmp_path, {**SMALL_GRID, "solver": {"sufficient_decrease": value}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
     def test_unknown_problem_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "sinh-gordon"})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

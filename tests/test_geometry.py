@@ -90,6 +90,33 @@ class TestFlatTorus:
             q = torus32.node_point(i, j)
             assert field[i, j] == pytest.approx(torus32.distance(p, q), abs=1e-14)
 
+    @pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5)),
+                             ids=("square", "2x0.5"))
+    def test_distance_fields_match_a_hypot_reference(self, torus):
+        rng = np.random.default_rng(11)
+        x1, x2 = torus.axes()
+        offsets = [(0.0, 0.0)] + subcell_offsets(torus, 3)
+        for a1, a2 in rng.uniform(0.0, 1.0, (6, 2)):
+            p = torus.point(a1 * torus.L1, a2 * torus.L2)
+            for o1, o2 in offsets:
+                # signed minimum image by rounding, not the package's fold
+                d1 = x1 + o1 - p.x1
+                d2 = x2 + o2 - p.x2
+                d1 -= torus.L1 * np.round(d1 / torus.L1)
+                d2 -= torus.L2 * np.round(d2 / torus.L2)
+                expected = np.hypot(d1[:, None], d2[None, :])
+                np.testing.assert_array_max_ulp(torus.distance_field(p, (o1, o2)), expected, 2)
+                np.testing.assert_array_max_ulp(torus.squared_distance_field(p, (o1, o2)),
+                                                expected**2, 2)
+
+    @pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5)),
+                             ids=("square", "2x0.5"))
+    def test_distance_field_is_symmetric_between_nodes_bit_for_bit(self, torus):
+        rng = np.random.default_rng(12)
+        for ia, ja, ib, jb in rng.integers(0, torus.n, (20, 4)):
+            a, b = torus.node_point(ia, ja), torus.node_point(ib, jb)
+            assert torus.distance_field(a)[ib, jb] == torus.distance_field(b)[ia, ja]
+
     def test_field_from_function_averages_subcells(self, torus32):
         # a linear-in-cell function averages exactly to its midpoint value
         f = torus32.field_from_function(lambda x1, x2: x1, subsamples=4)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvar.functionals import RhoPair, toda_energy
-from torusvar.geometry import CurveSystem, FlatTorus, Point
+from torusvar.geometry import CurveSystem, FlatTorus, Point, subcell_offsets
 from torusvar.joins import (
     JoinElement,
     energy_curve,
@@ -17,6 +17,7 @@ from torusvar.joins import (
     scalar_test_function,
     validate_on_curves,
 )
+from torusvar.joins import _log_bubble_sum
 from torusvar.joins import test_function as peak_pair
 from torusvar.measures import BarycenterMeasure
 
@@ -31,6 +32,25 @@ def join_at(torus: FlatTorus, r: float, k: int = 1, l: int = 1) -> JoinElement:
                               [torus.snap(Point((j + 0.5) / l, 0.75)) for j in range(l)],
                               capacity=l)
     return JoinElement(s1, s2, r)
+
+
+def hypot_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
+                     subsamples: int) -> np.ndarray:
+    """Cell-averaged log sum_i t_i (1 + scale^2 d^2)^(-2), with d from np.hypot
+    of rounded minimum-image displacements, then squared."""
+    x1, x2 = torus.axes()
+    acc = np.zeros((torus.n, torus.n))
+    for o1, o2 in subcell_offsets(torus, subsamples):
+        mix = np.zeros((torus.n, torus.n))
+        for t, p in sigma.atoms:
+            d1 = x1 + o1 - p.x1
+            d2 = x2 + o2 - p.x2
+            d1 -= torus.L1 * np.round(d1 / torus.L1)
+            d2 -= torus.L2 * np.round(d2 / torus.L2)
+            d = np.hypot(d1[:, None], d2[None, :])
+            mix += t / (1.0 + scale**2 * d**2) ** 2
+        acc += np.log(mix)
+    return acc / subsamples**2
 
 
 class TestJoinElement:
@@ -58,6 +78,21 @@ class TestTestFunction:
     def test_rejects_nonpositive_concentration(self, torus32):
         with pytest.raises(ValueError):
             peak_pair(torus32, join_at(torus32, 0.5), 0.0)
+
+    @pytest.mark.parametrize("torus", (FlatTorus(64), FlatTorus(32, 2.0, 0.5)),
+                             ids=("square", "2x0.5"))
+    @pytest.mark.parametrize("lam", (30.0, 1000.0))
+    def test_matches_the_hypot_bubble_sum(self, torus, lam):
+        zeta = join_at(torus, 0.3, k=2, l=2)
+        s1, s2 = zeta.scales(lam)
+        v1 = hypot_bubble_sum(torus, zeta.sigma1, s1, 8)
+        v2 = hypot_bubble_sum(torus, zeta.sigma2, s2, 8)
+        for actual, expected in zip(peak_pair(torus, zeta, lam), (v1 - 0.5 * v2, -0.5 * v1 + v2)):
+            assert np.abs(actual.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_zero_scale_gives_an_exact_zero(self, torus64):
+        sigma = join_at(torus64, 0.5, k=2).sigma1
+        assert np.array_equal(_log_bubble_sum(torus64, sigma, 0.0, 8), np.zeros((64, 64)))
 
     def test_degenerate_endpoint_is_exactly_one_sided(self, torus64):
         # at r = 0 the second profile vanishes identically, so the pair is

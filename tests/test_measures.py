@@ -24,6 +24,7 @@ from torusvar.measures import (
     push_forward,
     spread_mass_floor,
 )
+from torusvar.measures import _greedy_ball_centers, _k_median_cost, _voronoi_weights
 
 
 def reference_distance(torus: FlatTorus, a, b) -> float:
@@ -296,6 +297,63 @@ class TestDistanceToBarycenters:
         dist, sigma = distance_to_barycenters(f, 2)
         assert len(sigma.atoms) == 2
         assert dist == pytest.approx(dense_to_atoms_lp(f, sigma), rel=1e-9)
+
+
+def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
+    """The k-median local search with every trial scored from scratch by
+    `_k_median_cost`, one distance field per center per trial."""
+    torus = mu.torus
+    h1, h2 = torus.spacing
+    best_cost = np.inf
+    best_centers: list[Point] = []
+    for budget in range(1, k + 1):
+        centers = _greedy_ball_centers(mu, budget, radius=2.0 * torus.max_spacing)
+        if not centers:
+            continue
+        cost = _k_median_cost(mu, centers)
+        moved = True
+        guard = 0
+        while moved and guard < 200:
+            moved = False
+            guard += 1
+            for idx, z in enumerate(centers):
+                for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+                    trial = centers.copy()
+                    trial[idx] = torus.point(z.x1 + di * h1, z.x2 + dj * h2)
+                    c = _k_median_cost(mu, trial)
+                    if c < cost - 1e-15:
+                        centers, cost = trial, c
+                        z = centers[idx]
+                        moved = True
+        if cost < best_cost:
+            best_cost, best_centers = cost, centers
+    weights = _voronoi_weights(mu, best_centers)
+    total = weights.sum()
+    sigma = BarycenterMeasure(tuple((w / total, z) for w, z in zip(weights, best_centers)
+                                    if w > 0), k)
+    return best_cost, sigma
+
+
+SEARCH_TORI = (FlatTorus(32), FlatTorus(32, 2.0, 0.5))
+bumps = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                           st.floats(0.0, 1.0, exclude_max=True),
+                           st.floats(8.0, 60.0), st.floats(0.2, 1.0)),
+                 min_size=1, max_size=3)
+
+
+class TestIncrementalSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(torus_index=st.sampled_from(range(len(SEARCH_TORI))), spec=bumps,
+           k=st.sampled_from((1, 2, 3)))
+    def test_matches_the_full_recompute_search_bit_for_bit(self, torus_index, spec, k):
+        torus = SEARCH_TORI[torus_index]
+        density = sum(w * bump_density(torus, Point(u1 * torus.L1, u2 * torus.L2), lam).density
+                      for u1, u2, lam, w in spec)
+        mu = DiscreteMeasure(torus, density).normalized()
+        cost, sigma = distance_to_barycenters(mu, k)
+        expected_cost, expected_sigma = full_recompute_search(mu, k)
+        assert cost == expected_cost
+        assert sigma == expected_sigma
 
 
 def dense_to_atoms_lp(f: DiscreteMeasure, sigma: BarycenterMeasure) -> float:

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import torusvar.solver as solver_module
 from torusvar.functionals import (
+    EnergyKernel,
     RhoPair,
     meanfield_gradient,
     toda_energy,
@@ -118,8 +122,26 @@ class TestMinimize:
             SolverConfig(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(shrink=1.0)
+        for bad in (0.0, 1.0, 2.0, -1e-4):
+            with pytest.raises(ValueError, match="sufficient-decrease"):
+                SolverConfig(sufficient_decrease=bad)
         with pytest.raises(ValueError):
             SolverConfig(preconditioner_shift=-1.0)
+
+
+class InfiniteTrialKernel(EnergyKernel):
+    """The two-component energy kernel, except that every state other than
+    the zero start evaluates to +inf."""
+
+    @staticmethod
+    def toda(h1, h2, rho):
+        return InfiniteTrialKernel(**vars(EnergyKernel.toda(h1, h2, rho)))
+
+    def evaluate(self, values, spectra):
+        at = super().evaluate(values, spectra)
+        if not any(np.any(v) for v in values):
+            return at
+        return at._replace(report=dataclasses.replace(at.report, total=np.inf))
 
 
 class TestStopReason:
@@ -136,10 +158,10 @@ class TestStopReason:
         assert 0 < result.iterations < config.max_iterations
         assert result.residual_norm > config.gradient_tolerance
 
-    def test_unreachable_decrease_fails_the_line_search(self, aniso_weights):
-        # demanding twice the first-order decrease rejects every step length
-        config = SolverConfig(sufficient_decrease=2.0)
-        result = minimize("toda", aniso_weights, RhoPair(2 * np.pi, 2 * np.pi), EMPTY, config)
+    def test_unreachable_decrease_fails_the_line_search(self, aniso_weights, monkeypatch):
+        # every trial state has energy +inf, so no step length passes the Armijo test
+        monkeypatch.setattr(solver_module, "EnergyKernel", InfiniteTrialKernel)
+        result = minimize("toda", aniso_weights, RhoPair(2 * np.pi, 2 * np.pi), EMPTY)
         assert result.stop_reason == "line-search-failed"
         assert not result.converged
 
