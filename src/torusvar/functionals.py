@@ -12,8 +12,9 @@ Two variational problems share this module:
 Both are invariant under adding constants to the unknowns, so every
 exponential integral is evaluated with a max-shifted log-sum-exp and the
 returned gradients have zero mean.  One kernel, `EnergyKernel`, evaluates
-both energies and gradients from a state given as node values plus
-half-spectrum coefficients; the public functions call it.  Diagnostic ratios for the sharp
+both energies, their gradients and Hessian-vector products from a state
+given as node values plus half-spectrum coefficients; the public functions
+call it.  Diagnostic ratios for the sharp
 exponential-integrability (Moser-Trudinger type) constants live here too.
 """
 
@@ -28,11 +29,11 @@ from .geometry import (
     FlatTorus,
     GridField,
     dirichlet_energy,
-    dirichlet_form,
     from_spectrum,
     gradient_arrays,
     integrate,
     minus_laplacian_symbol,
+    spectral_inner,
     to_spectrum,
 )
 
@@ -119,9 +120,11 @@ class EnergyKernel:
 
     A state is passed twice: as node values, for the exponential terms, and
     as half-spectrum coefficients, for the Dirichlet part by Parseval.  The
-    Dirichlet part is 1/2 sum_ij mixing[i][j] int grad u_i . grad u_j.  The
-    k-th exponential term, (component c, sign s), adds
-    rho_k (s int u_c - log int h_k e^{s u_c}), with log h_k in log_weights[k]."""
+    Dirichlet part is 1/2 sum_ij mixing[i][j] int u_i (-Lap u_j), with the
+    Laplacian's full symbol, so that `gradient` is its exact derivative on
+    every mode, Nyquist included.  The k-th exponential term, (component c,
+    sign s), adds rho_k (s int u_c - log int h_k e^{s u_c}), with log h_k in
+    log_weights[k]."""
 
     torus: FlatTorus
     rho: RhoPair
@@ -144,11 +147,13 @@ class EnergyKernel:
                  spectra: Sequence[np.ndarray]) -> Evaluation:
         """The energy of the state with node values `values` and half spectra `spectra`."""
         torus = self.torus
+        minus_lap = minus_laplacian_symbol(torus)
         dirichlet = 0.0
         for i, row in enumerate(self.mixing):
-            dirichlet += 0.5 * row[i] * dirichlet_form(torus, spectra[i], spectra[i])
+            stiff = minus_lap * spectra[i]  # -Lap u_i
+            dirichlet += 0.5 * row[i] * spectral_inner(torus, stiff, spectra[i])
             for j in range(i + 1, len(row)):
-                dirichlet += row[j] * dirichlet_form(torus, spectra[i], spectra[j])
+                dirichlet += row[j] * spectral_inner(torus, stiff, spectra[j])
         averages, logexps, exponentials = [], [], []
         for (c, sign), log_h in zip(self.terms, self.log_weights):
             t = values[c] + log_h if sign > 0 else log_h - values[c]
@@ -168,13 +173,36 @@ class EnergyKernel:
         nonlinear: list = [0.0] * len(self.mixing)
         for (c, sign), rho_k, (e, total) in zip(self.terms, self.rho, at.exponentials):
             nonlinear[c] = nonlinear[c] - (sign * rho_k / (total * cell_area)) * e
+        return self._assemble(spectra, nonlinear)
+
+    def hessian_vector(self, at: Evaluation, v_hat: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Half spectra of the Hessian at the state `at` evaluated applied to the
+        direction with half spectra `v_hat`, with the constant mode set to zero.
+
+        Term k contributes -rho_k f_k (v_c - int f_k v_c), the derivative of its
+        gradient part -s rho_k f_k (d f_k = s f_k (v_c - int f_k v_c) and s^2 = 1).
+        One product takes one inverse and one forward transform per component."""
+        torus = self.torus
+        cell_area = torus.cell_area
+        v = [from_spectrum(torus, vi) for vi in v_hat]
+        nonlinear: list = [0.0] * len(self.mixing)
+        for (c, _), rho_k, (e, total) in zip(self.terms, self.rho, at.exponentials):
+            fv = e * v[c]
+            fv -= e * (fv.sum() / total)
+            nonlinear[c] = nonlinear[c] - (rho_k / (total * cell_area)) * fv
+        del v, fv
+        return self._assemble(v_hat, nonlinear)
+
+    def _assemble(self, spectra: Sequence[np.ndarray], nonlinear: list) -> list[np.ndarray]:
+        """Per component, mixing (-Lap) applied to `spectra` plus the half spectrum
+        of the node-valued `nonlinear` part, with the constant mode set to zero."""
         minus_lap = minus_laplacian_symbol(self.torus)
-        grads = []
+        out = []
         for row, part in zip(self.mixing, nonlinear):
             g = minus_lap * sum(a * s for a, s in zip(row, spectra)) + to_spectrum(part)
             g[0, 0] = 0.0
-            grads.append(g)
-        return grads
+            out.append(g)
+        return out
 
     def _state(self, fields: Sequence[GridField]) -> tuple[list, list]:
         for f in fields:

@@ -317,9 +317,11 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     elementwise minimum and one weighted sum; min is exact, so every trial
     cost equals `_k_median_cost` of the trial centers bit for bit.
     Candidates are built for every atom budget up to k and the best kept, so
-    the result is monotone in k.  The returned value is that objective, the
-    exact transport distance to the returned sigma, and so an upper bound on
-    the distance to the k-atom set."""
+    the result is monotone in k; budget b starts from the first b centers of
+    one k-round greedy capture, which are the centers a b-round capture
+    picks.  The returned value is that objective, the exact transport
+    distance to the returned sigma, and so an upper bound on the distance to
+    the k-atom set."""
     if k < 1:
         raise ValueError("atom budget k must be >= 1")
     if abs(mu.mass() - 1.0) > MASS_TOLERANCE:
@@ -328,10 +330,9 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     h1, h2 = torus.spacing
     best_cost = np.inf
     best_centers: list[Point] = []
-    for budget in range(1, k + 1):
-        centers = _greedy_ball_centers(mu, budget, radius=2.0 * torus.max_spacing)
-        if not centers:
-            continue
+    seeds = _greedy_ball_centers(mu, k, radius=2.0 * torus.max_spacing)
+    for budget in range(1, len(seeds) + 1):
+        centers = seeds[:budget]
         cost = _k_median_cost(mu, centers)
         fields = [torus.distance_field(z) for z in centers]
         moved = True

@@ -1,21 +1,27 @@
 """Energy minimization in coercive regimes, residual certification, continuation.
 
-The descent direction is the L2 gradient smoothed by the spectral inverse of
-(-Laplacian + tau) — the natural H1-type preconditioner on the torus — with
-Armijo backtracking.  Convergence is declared on the L2 norm of the
-preconditioned gradient.
+`minimize` runs Newton-CG.  Each Newton step solves H p = -g inexactly by
+conjugate gradients, preconditioned by mixing^-1 (x) (-Laplacian + tau)^-1,
+with the exact Hessian-vector products of `EnergyKernel.hessian_vector`.
+The inner solve stops once its L2 residual is below eta ||g|| with the
+fixed forcing term eta = min(0.5, ||g||^1.5) (Eisenstat-Walker), at
+negative curvature (Steihaug; a first-iteration stop falls back to the
+preconditioned gradient step), or after a fixed cap of products.  The step
+is globalised by Armijo backtracking on the energy; a unit step whose
+energy change is within the float floor is accepted too, since Armijo
+cannot judge it there.  Convergence is declared on the L2 norm of the
+gradient smoothed by (-Laplacian + tau)^-1.
 
-The iterate is held in two forms at once: node values and half-spectrum
-(real-FFT) coefficients, with the constant mode kept at zero (the energies
-only see mean-free fields).  A line-search trial is s + t d in both forms:
-its Dirichlet part comes from the coefficients by Parseval and its
-exponential terms from the node values, so a trial needs no transform.  One
-iteration takes, per component, one forward transform of the nonlinear
-part of the gradient (its linear part is A |k|^2 u_hat) and one inverse
-transform of the direction d_hat = -g_hat / (|k|^2 + tau): four transforms
-for the two-component problem, two for the scalar one.  The residual and
-the slope are Parseval sums.  `SolveResult.stop_reason` says which of the
-five exits ended the descent.
+The iterate is held as half-spectrum (real-FFT) coefficients with the
+constant mode at zero (the energies only see mean-free fields).  Per
+component, evaluating a trial state takes one inverse transform (its node
+values, for the exponential terms; the Dirichlet part is a Parseval sum),
+the gradient one forward transform of its nonlinear part, and a
+Hessian-vector product one inverse and one forward transform.  Residuals,
+slopes and CG inner products are Parseval sums.  A step whose energy change
+is at the float floor and that does not halve the smoothed residual ends
+the solve as `stalled`: below that floor the steps only stir round-off.
+`SolveResult.stop_reason` says which of the five exits ended the solve.
 
 `pde_residual` assembles the strong-form equations directly (its own density
 normalization, not the energy-gradient code path) so a converged result can
@@ -49,6 +55,10 @@ from .geometry import (
 from .quantization import blowup_candidates, global_lambda, nearest_scalar_line, scalar_blowup_value
 
 
+# Hessian-vector products per Newton step at most (the inner CG cap)
+_CG_CAP = 20
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 2000
@@ -78,7 +88,7 @@ class SolveResult:
     iterations: int
     converged: bool
     coercive: bool
-    # why the descent stopped: "converged", "iteration-cap", "no-descent",
+    # why the solve stopped: "converged", "iteration-cap", "no-descent",
     # "line-search-failed" or "stalled" (energy at the float floor)
     stop_reason: str
 
@@ -109,70 +119,114 @@ def _is_coercive(problem: str, rho: RhoPair) -> bool:
 def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
              config: SolverConfig = SolverConfig(),
              initial: Optional[tuple[GridField, ...]] = None) -> SolveResult:
-    """Preconditioned descent on the chosen energy from the given (or zero) state."""
+    """Newton-CG on the chosen energy from the given (or zero) state."""
     h1, h2 = _weights(problem, h, singular)
     torus = h1.torus
     kernel = (EnergyKernel.toda(h1, h2, rho) if problem == "toda"
               else EnergyKernel.meanfield(h1, rho))
     ncomp = len(kernel.mixing)
     if initial is None:
-        values = [np.zeros((torus.n, torus.n)) for _ in range(ncomp)]
+        spectra = [np.zeros((torus.n, torus.n // 2 + 1), dtype=complex) for _ in range(ncomp)]
     else:
         if len(initial) != ncomp:
             raise ValueError(f"initial guess must have {ncomp} component(s)")
-        values = [f.values - f.values.mean() for f in initial]
-    spectra = [to_spectrum(v) for v in values]
+        spectra = [to_spectrum(f.values) for f in initial]
     for coeffs in spectra:
         coeffs[0, 0] = 0.0
-    descent = -1.0 / (minus_laplacian_symbol(torus) + config.preconditioner_shift)
+    shifted = minus_laplacian_symbol(torus) + config.preconditioner_shift
+    unmixing = np.linalg.inv(kernel.mixing)
 
-    def steepest(spectra: list, at: Evaluation) -> tuple[list, list, float]:
-        """Gradient, preconditioned descent direction and its L2 norm, as half spectra."""
-        g = kernel.gradient(spectra, at)
-        d = [gi * descent for gi in g]
-        return g, d, float(np.sqrt(sum(spectral_inner(torus, di, di) for di in d)))
+    def inner(a: list, b: list) -> float:
+        return sum(spectral_inner(torus, ai, bi) for ai, bi in zip(a, b))
 
-    evaluation = kernel.evaluate(values, spectra)
+    def precondition(r: list) -> list:
+        """mixing^-1 (x) (-Lap + tau)^-1 applied to the half spectra r."""
+        return [sum(m * ri for m, ri in zip(row, r)) / shifted for row in unmixing]
+
+    def newton_direction(g: list, at: Evaluation) -> list:
+        """Preconditioned CG on H p = -g from p = 0, stopped at the forcing
+        residual or at negative curvature (where the first iteration falls
+        back to the preconditioned gradient step)."""
+        g_norm = np.sqrt(inner(g, g))
+        target = min(0.5, g_norm ** 1.5) * g_norm
+        r = [-gi for gi in g]
+        d = precondition(r)
+        p, rz = None, inner(r, d)
+        for _ in range(_CG_CAP):
+            hd = kernel.hessian_vector(at, d)
+            curvature = inner(d, hd)
+            if curvature <= 0.0:
+                return d if p is None else p  # d is still the first search direction
+            alpha = rz / curvature
+            if p is None:
+                p = [alpha * di for di in d]
+            else:
+                for pi, di in zip(p, d):
+                    pi += alpha * di
+            for ri, hi in zip(r, hd):
+                ri -= alpha * hi
+            del hd  # freed before the next product, which bounds peak memory
+            if np.sqrt(inner(r, r)) <= target:
+                break
+            z = precondition(r)
+            rz, previous = inner(r, z), rz
+            for di, zi in zip(d, z):
+                di *= rz / previous
+                di += zi
+            del z
+        return p
+
+    def evaluate(spectra: list) -> Evaluation:
+        return kernel.evaluate([from_spectrum(torus, c) for c in spectra], spectra)
+
+    evaluation = evaluate(spectra)
     current = evaluation.report.total
     reason = "iteration-cap"
     iterations = 0
+    previous_residual = np.inf
+    at_floor = False
     for iterations in range(config.max_iterations + 1):
-        g_hat, d_hat, residual = steepest(spectra, evaluation)
+        g_hat = kernel.gradient(spectra, evaluation)
+        residual = float(np.sqrt(sum(spectral_inner(torus, gi / shifted, gi / shifted)
+                                     for gi in g_hat)))
         if residual <= config.gradient_tolerance:
             reason = "converged"
             break
+        if at_floor and residual > 0.5 * previous_residual:
+            # a step whose energy change was at the float floor and that did
+            # not halve the residual: Newton would, so only round-off is left
+            reason = "stalled"
+            break
         if iterations == config.max_iterations:
             break
-        slope = sum(spectral_inner(torus, gi, di) for gi, di in zip(g_hat, d_hat))
+        p_hat = newton_direction(g_hat, evaluation)
+        slope = inner(g_hat, p_hat)
+        del g_hat
         if slope >= 0.0:
             reason = "no-descent"  # only round-off can get here: stagnate honestly
             break
-        direction = [from_spectrum(torus, di) for di in d_hat]
+        tiny = 4.0 * np.finfo(float).eps * (1.0 + abs(current))
         step = 1.0
         accepted = False
         while step > 1e-16:
-            trial_values = [v + step * d for v, d in zip(values, direction)]
-            trial_spectra = [s + step * d for s, d in zip(spectra, d_hat)]
-            trial = kernel.evaluate(trial_values, trial_spectra)
+            trial_spectra = [s + step * p for s, p in zip(spectra, p_hat)]
+            trial = evaluate(trial_spectra)
             value = trial.report.total
-            if value <= current + config.sufficient_decrease * step * slope:
+            # a unit step whose energy change is below float resolution cannot
+            # be judged by Armijo; take it and let the residual decide
+            if (value <= current + config.sufficient_decrease * step * slope
+                    or (step == 1.0 and abs(value - current) <= tiny)):
                 accepted = True
                 break
             step *= config.shrink
         if not accepted:
             reason = "line-search-failed"
             break
-        if value > current + 1e-12:
-            raise RuntimeError("line search accepted an energy increase")
-        stalled = current - value <= 4.0 * np.finfo(float).eps * (1.0 + abs(current))
-        values, spectra, evaluation, current = trial_values, trial_spectra, trial, value
-        if stalled:
-            # energy is at the floating-point floor; no further progress
-            residual = steepest(spectra, evaluation)[2]
-            reason = "converged" if residual <= config.gradient_tolerance else "stalled"
-            break
+        at_floor = abs(current - value) <= tiny
+        previous_residual = residual
+        spectra, evaluation, current = trial_spectra, trial, value
 
-    fields = tuple(GridField(torus, v) for v in values)
+    fields = tuple(GridField(torus, from_spectrum(torus, c)) for c in spectra)
     return SolveResult(fields, current, residual, iterations, reason == "converged",
                        _is_coercive(problem, rho), reason)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvar.functionals import (
+    EnergyKernel,
     EnergyReport,
     RhoPair,
     log_integral_exp,
@@ -19,9 +20,14 @@ from torusvar.functionals import (
 from torusvar.geometry import (
     FlatTorus,
     GridField,
+    SingularData,
+    desingularized_weight,
     dirichlet_energy,
+    from_spectrum,
     integrate,
     random_smooth_field,
+    spectral_inner,
+    to_spectrum,
 )
 from torusvar.joins import JoinElement, scalar_test_function
 from torusvar.measures import BarycenterMeasure
@@ -190,6 +196,95 @@ class TestMeanfieldEnergy:
         h, _ = aniso_weights
         g = meanfield_gradient(torus64.constant_field(0.0), h, RhoPair(4.0, 4.0))
         assert np.abs(g.values).max() < 1e-12
+
+
+def kernel_for(problem: str, torus: FlatTorus, marked: bool) -> EnergyKernel:
+    """Either energy on `torus` with smooth weights, desingularized at two
+    marked points when `marked`."""
+    x1, x2 = torus.grids()
+    h1 = torus.field(1.0 + 0.3 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2))
+    h2 = torus.field(1.0 + 0.2 * np.cos(2 * np.pi * x1) + 0.1 * np.sin(4 * np.pi * x2))
+    if marked:
+        singular = SingularData.of([(0.3, 0.6), (0.7, 0.1)], [0.5, 1.0], [1.0, 0.5], torus)
+        h1, h2 = (desingularized_weight(h1, singular, 1), desingularized_weight(h2, singular, 2))
+    if problem == "toda":
+        return EnergyKernel.toda(h1, h2, RHO)
+    return EnergyKernel.meanfield(h1, RHO)
+
+
+def gradient_at(kernel: EnergyKernel, values: list) -> list:
+    spectra = [to_spectrum(v) for v in values]
+    return kernel.gradient(spectra, kernel.evaluate(values, spectra))
+
+
+class TestHessianVector:
+    @given(seed=st.integers(0, 2**31 - 1), problem=st.sampled_from(("toda", "meanfield")),
+           marked=st.booleans(), n=st.sampled_from((16, 32)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_central_differences_of_the_gradient(self, seed, problem, marked, n):
+        torus = FlatTorus(n)
+        kernel = kernel_for(problem, torus, marked)
+        rng = np.random.default_rng(seed)
+        ncomp = len(kernel.mixing)
+        # smooth states; directions with every mode, Nyquist included
+        values = [random_smooth_field(torus, rng, modes=4, scale=1.0).values
+                  for _ in range(ncomp)]
+        directions = [random_smooth_field(torus, rng, modes=4, scale=1.0).values
+                      + 0.1 * rng.standard_normal((n, n)) for _ in range(ncomp)]
+        spectra = [to_spectrum(v) for v in values]
+        product = kernel.hessian_vector(kernel.evaluate(values, spectra),
+                                        [to_spectrum(d) for d in directions])
+        eps = 1e-5
+        plus = gradient_at(kernel, [v + eps * d for v, d in zip(values, directions)])
+        minus = gradient_at(kernel, [v - eps * d for v, d in zip(values, directions)])
+        central = [(a - b) / (2 * eps) for a, b in zip(plus, minus)]
+        error = sum(spectral_inner(torus, p - c, p - c) for p, c in zip(product, central))
+        size = sum(spectral_inner(torus, p, p) for p in product)
+        assert np.sqrt(error) <= 1e-6 * np.sqrt(size)
+
+    @pytest.mark.parametrize("problem", ("toda", "meanfield"))
+    def test_is_symmetric(self, torus32, problem):
+        kernel = kernel_for(problem, torus32, marked=True)
+        rng = np.random.default_rng(21)
+        ncomp = len(kernel.mixing)
+        values = [random_smooth_field(torus32, rng).values for _ in range(ncomp)]
+        spectra = [to_spectrum(v) for v in values]
+        at = kernel.evaluate(values, spectra)
+        a, b = ([to_spectrum(rng.standard_normal((32, 32))) for _ in range(ncomp)]
+                for _ in range(2))
+        ha, hb = kernel.hessian_vector(at, a), kernel.hessian_vector(at, b)
+        forward = sum(spectral_inner(torus32, x, y) for x, y in zip(hb, a))
+        backward = sum(spectral_inner(torus32, x, y) for x, y in zip(ha, b))
+        assert forward == pytest.approx(backward, rel=1e-10)
+
+
+class TestNyquistModes:
+    """Directions along the Nyquist row and column, from a state with content
+    there: the energy's central differences agree with the gradient."""
+
+    @pytest.mark.parametrize("problem", ("toda", "meanfield"))
+    @pytest.mark.parametrize("axis", (0, 1), ids=("row", "column"))
+    def test_gradient_matches_finite_differences(self, torus32, problem, axis):
+        kernel = kernel_for(problem, torus32, marked=False)
+        x1, x2 = torus32.grids()
+        alternating = (-1.0) ** np.arange(torus32.n)
+        row = alternating[:, None] * np.cos(2 * np.pi * x2)
+        column = alternating[None, :] * np.cos(2 * np.pi * x1)
+        rng = np.random.default_rng(22)
+        values = [random_smooth_field(torus32, rng).values + 0.01 * (row + column)
+                  for _ in kernel.mixing]
+        direction = row if axis == 0 else column
+        eps = 1e-5
+
+        def energy(t):
+            shifted = [values[0] + t * direction] + values[1:]
+            return kernel.evaluate(shifted, [to_spectrum(v) for v in shifted]).report.total
+
+        central = (energy(eps) - energy(-eps)) / (2 * eps)
+        g = from_spectrum(torus32, gradient_at(kernel, values)[0])
+        predicted = float((g * direction).sum() * torus32.cell_area)
+        assert abs(predicted) > 1.0  # the Nyquist part dominates the slope
+        assert central == pytest.approx(predicted, rel=1e-6)
 
 
 class TestExponentialIntegrabilityDiagnostics:

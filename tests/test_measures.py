@@ -301,7 +301,8 @@ class TestDistanceToBarycenters:
 
 def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
     """The k-median local search with every trial scored from scratch by
-    `_k_median_cost`, one distance field per center per trial."""
+    `_k_median_cost`, one distance field per center per trial, and every atom
+    budget seeded by its own greedy capture."""
     torus = mu.torus
     h1, h2 = torus.spacing
     best_cost = np.inf
@@ -354,6 +355,33 @@ class TestIncrementalSearch:
         expected_cost, expected_sigma = full_recompute_search(mu, k)
         assert cost == expected_cost
         assert sigma == expected_sigma
+
+    @pytest.mark.parametrize("torus", SEARCH_TORI, ids=("square", "oblong"))
+    def test_matches_the_per_budget_seeding_when_the_capture_runs_out(self, torus):
+        # two occupied nodes: the greedy capture takes all mass in two rounds,
+        # so budgets 3 and 4 get no further seeds
+        density = np.zeros((torus.n, torus.n))
+        density[3, 5], density[20, 17] = 2.0, 1.0
+        mu = DiscreteMeasure(torus, density).normalized()
+        radius = 2.0 * torus.max_spacing
+        assert len(_greedy_ball_centers(mu, 4, radius)) == 2
+        cost, sigma = distance_to_barycenters(mu, 4)
+        expected_cost, expected_sigma = full_recompute_search(mu, 4)
+        assert cost == expected_cost
+        assert sigma == expected_sigma
+
+    @settings(max_examples=50, deadline=None)
+    @given(torus_index=st.sampled_from(range(len(SEARCH_TORI))), spec=bumps,
+           k=st.integers(1, 5))
+    def test_greedy_seeds_of_a_smaller_budget_are_a_prefix(self, torus_index, spec, k):
+        torus = SEARCH_TORI[torus_index]
+        density = sum(w * bump_density(torus, Point(u1 * torus.L1, u2 * torus.L2), lam).density
+                      for u1, u2, lam, w in spec)
+        mu = DiscreteMeasure(torus, density).normalized()
+        radius = 2.0 * torus.max_spacing
+        seeds = _greedy_ball_centers(mu, k, radius)
+        for budget in range(1, k + 1):
+            assert _greedy_ball_centers(mu, budget, radius) == seeds[:budget]
 
 
 def dense_to_atoms_lp(f: DiscreteMeasure, sigma: BarycenterMeasure) -> float:

@@ -151,12 +151,26 @@ class TestStopReason:
         assert (result.stop_reason, result.iterations, result.converged) == ("converged", 0, True)
 
     def test_tolerance_below_the_float_floor_stalls(self, aniso_weights):
-        config = SolverConfig(gradient_tolerance=1e-15)
+        # Newton's floor here is about 4e-18; below it the steps only stir round-off
+        config = SolverConfig(gradient_tolerance=1e-18)
         result = minimize("toda", aniso_weights, RhoPair(2 * np.pi, 2 * np.pi), EMPTY, config)
         assert result.stop_reason == "stalled"
         assert not result.converged
         assert 0 < result.iterations < config.max_iterations
+        assert result.iterations <= 15
         assert result.residual_norm > config.gradient_tolerance
+
+    def test_a_fine_grid_below_the_float_floor_stalls_within_bounded_steps(self):
+        # n=256 with the two marked points of the benchmark's two-component solve
+        torus = FlatTorus(256)
+        x1, x2 = torus.grids()
+        h1 = torus.field(1.0 + 0.3 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2))
+        h2 = torus.field(1.0 + 0.2 * np.cos(2 * np.pi * x1) + 0.1 * np.sin(4 * np.pi * x2))
+        singular = SingularData.of([(0.25, 0.75), (0.75, 0.3)], [0.5, 1.0], [1.0, 0.5], torus)
+        result = minimize("toda", (h1, h2), RhoPair(2 * np.pi, 2 * np.pi), singular,
+                          SolverConfig(gradient_tolerance=1e-18))
+        assert result.stop_reason == "stalled"
+        assert result.iterations <= 15
 
     def test_unreachable_decrease_fails_the_line_search(self, aniso_weights, monkeypatch):
         # every trial state has energy +inf, so no step length passes the Armijo test
@@ -176,9 +190,13 @@ class TestStopReason:
 # ----- reference: the real-space descent loop on complex full-spectrum FFTs ---
 
 class ReferenceDescent:
-    """The descent as it ran before the spectral state: every energy and
-    gradient evaluation assembled in real space from complex np.fft
-    transforms, every trial re-centred to zero mean."""
+    """The preconditioned steepest descent as it ran before the spectral
+    state: every energy and gradient evaluation assembled in real space from
+    complex np.fft transforms, every trial re-centred to zero mean.  Its line
+    search sees the Dirichlet part as int |grad u|^2 with Nyquist-free
+    derivatives, as that descent did; the energy it returns is that of its
+    final state with the Dirichlet part int u (-Lap u) on the full symbol,
+    the energy whose exact gradient `gradient` is and `minimize` reports."""
 
     def __init__(self, torus):
         n = torus.n
@@ -208,17 +226,26 @@ class ReferenceDescent:
         with np.errstate(divide="ignore"):
             return np.exp(v + np.log(w) - self.log_int(v, w))
 
-    def energy(self, problem, vals, h, rho):
+    def energy(self, problem, vals, h, rho, full_symbol=False):
         if problem == "toda":
-            (a1, a2), (b1, b2) = self.grad(vals[0]), self.grad(vals[1])
-            q = (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2 + a1 * b1 + a2 * b2) / 3.0
+            if full_symbol:
+                a, b = vals
+                lap_a, lap_b = self.lap(a), self.lap(b)
+                q = -(a * lap_a + b * lap_b + a * lap_b) / 3.0
+            else:
+                (a1, a2), (b1, b2) = self.grad(vals[0]), self.grad(vals[1])
+                q = (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2 + a1 * b1 + a2 * b2) / 3.0
             total = q.sum() * self.area
             for r, v, w in zip(rho, vals, h):
                 total += r * (v.sum() * self.area - self.log_int(v, w))
             return total
-        g1, g2 = self.grad(vals[0])
+        if full_symbol:
+            dirichlet = -(vals[0] * self.lap(vals[0]))
+        else:
+            g1, g2 = self.grad(vals[0])
+            dirichlet = g1 * g1 + g2 * g2
         avg = vals[0].sum() * self.area
-        return (0.5 * (g1 * g1 + g2 * g2).sum() * self.area
+        return (0.5 * dirichlet.sum() * self.area
                 + rho.rho1 * (avg - self.log_int(vals[0], h[0]))
                 + rho.rho2 * (-avg - self.log_int(-vals[0], h[0])))
 
@@ -275,15 +302,15 @@ class ReferenceDescent:
             direction = smooth(self.gradient(problem, state, h, rho))
             residual = np.sqrt(sum((d * d).sum() for d in direction) * area)
             converged = residual <= config.gradient_tolerance
-        return converged, iterations, current
+        return converged, iterations, self.energy(problem, state, h, rho, full_symbol=True)
 
 
 def criterion_8_problems(torus, singular):
     """The two solves of acceptance criterion 8, posed on `torus`.
 
     The two-component tolerance is 1e-8, not 5e-9: at n=64, 5e-9 lies inside
-    the float-floor band where whether the solve converges turns on round-off
-    (a 1e-12 change of the zero start flips it in either implementation)."""
+    the descent's float-floor band, where whether the reference converges
+    turns on round-off (a 1e-12 change of the zero start flips it)."""
     x1, x2 = torus.grids()
     h1 = torus.field(1.0 + 0.3 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2))
     h2 = torus.field(1.0 + 0.2 * np.cos(2 * np.pi * x1) + 0.1 * np.sin(4 * np.pi * x2))
@@ -309,11 +336,38 @@ class TestAgainstTheReferenceDescent:
                      else [f.values - f.values.mean() for f in initial])
             converged, iterations, energy = reference.minimize(problem, weights, rho, config,
                                                                start)
-            assert result.converged == converged, problem
-            assert abs(result.iterations - iterations) <= 2, problem
+            # Newton converges wherever the descent does, and also on the
+            # marked scalar problem, where the descent stalls at its float
+            # floor (103 iterations, as the descent in `minimize` did)
+            assert result.converged, problem
+            assert converged or (marked and problem == "meanfield"), problem
+            # Newton needs a handful of steps where the descent needs dozens
+            assert result.iterations <= 20, problem
+            assert result.iterations < iterations, problem
             # the scalar minimum sits at energy 0, so relative agreement is
             # taken against the energy's unit scale there
             assert abs(result.energy - energy) <= 1e-12 * max(abs(energy), 1.0), problem
+
+
+class TestStrongResidual:
+    def test_random_start_scalar_solves_certify(self, torus64):
+        # The smoothed residual is weaker than the strong one by a factor that
+        # exceeds 200 here, so a solve that stops just under 1.5e-8
+        # would miss 1e-6.  The forcing rule takes each converging Newton step
+        # well past the tolerance.
+        x1, x2 = torus64.grids()
+        gap1, gap2 = np.abs(x1 - 0.3), np.abs(x2 - 0.4)
+        squared = np.minimum(gap1, 1 - gap1) ** 2 + np.minimum(gap2, 1 - gap2) ** 2
+        h = torus64.field(1.0 + 0.5 * np.exp(-squared / (2 * 0.15**2)))
+        singular = SingularData.of([(0.5, 0.5)], [1.0], [1.0], torus64)
+        rho = RhoPair(4 * np.pi, 4 * np.pi)
+        config = SolverConfig(gradient_tolerance=1.5e-8)
+        for seed in range(8):
+            start = (random_smooth_field(torus64, np.random.default_rng(seed), modes=4,
+                                         scale=0.5),)
+            result = minimize("meanfield", h, rho, singular, config, start)
+            assert result.converged, seed
+            assert pde_residual(result.u, h, rho, singular) <= 1e-6, seed
 
 
 class TestPdeResidual:
