@@ -1,7 +1,7 @@
 """Numerical laboratory for two-component Liouville-type variational problems
 on the flat torus: energies and gradients, bubble test functions on joins,
 transport projections onto atomic barycenters, blow-up quantization tables,
-and preconditioned descent in the coercive regimes."""
+and Newton-CG solves in the coercive regimes."""
 
 from .functionals import (
     EnergyReport,

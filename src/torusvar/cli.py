@@ -207,10 +207,7 @@ class ExperimentConfig:
                 singular_raw.get("alpha1", []), singular_raw.get("alpha2", []), torus)
             solver = SolverConfig(
                 max_iterations=_expect(solver_raw, "max_iterations", int, 2000),
-                gradient_tolerance=_expect(solver_raw, "gradient_tolerance", float, 1e-8),
-                shrink=_expect(solver_raw, "shrink", float, 0.5),
-                sufficient_decrease=_expect(solver_raw, "sufficient_decrease", float, 1e-4),
-                preconditioner_shift=_expect(solver_raw, "preconditioner_shift", float, 1.0))
+                gradient_tolerance=_expect(solver_raw, "gradient_tolerance", float, 1e-8))
             h_config = raw.get("h", {"profile": "constant"})
             h1 = h_profile(torus, h_config)
             h2 = h_profile(torus, raw.get("h2", h_config))
@@ -234,10 +231,7 @@ class ExperimentConfig:
             "k": _expect(raw, "k", int, 1), "l": _expect(raw, "l", int, 1),
             "r": _expect(raw, "r", float, 0.5),
             "solver": {"max_iterations": solver.max_iterations,
-                       "gradient_tolerance": solver.gradient_tolerance,
-                       "shrink": solver.shrink,
-                       "sufficient_decrease": solver.sufficient_decrease,
-                       "preconditioner_shift": solver.preconditioner_shift},
+                       "gradient_tolerance": solver.gradient_tolerance},
             "seed": seed if seed is not None else _expect(raw, "seed", int, 0),
             "threads": threads if threads is not None else _expect(raw, "threads", int, 1),
             "tol": tol if tol is not None else raw.get("tol"),
@@ -503,15 +497,14 @@ def _problem_and_weights(cfg: ExperimentConfig) -> tuple[str, object]:
 def _run_solve(cfg: ExperimentConfig) -> int:
     problem, weights = _problem_and_weights(cfg)
     _gate_on_forbidden_set(cfg, problem)
+    names = ("u1", "u2") if problem == "toda" else ("u",)
     initial = None
     if cfg.option("initial", "zero") == "random":
         rng = np.random.default_rng(cfg.seed)
-        count = 2 if problem == "toda" else 1
         initial = tuple(random_smooth_field(cfg.torus, rng, modes=4, scale=0.5)
-                        for _ in range(count))
+                        for _ in names)
     result = minimize(problem, weights, cfg.rho, cfg.singular, cfg.solver, initial)
     residual = pde_residual(result.u, weights, cfg.rho, cfg.singular)
-    names = ("u1", "u2") if problem == "toda" else ("u",)
     for name, component in zip(names, result.u):
         write_field(cfg.out / f"solution_{name}.bin", component, name)
     report = {

@@ -28,6 +28,8 @@ import numpy as np
 from .geometry import (
     FlatTorus,
     GridField,
+    SingularData,
+    desingularized_weight,
     dirichlet_energy,
     from_spectrum,
     gradient_arrays,
@@ -124,24 +126,47 @@ class EnergyKernel:
     Laplacian's full symbol, so that `gradient` is its exact derivative on
     every mode, Nyquist included.  The k-th exponential term, (component c,
     sign s), adds rho_k (s int u_c - log int h_k e^{s u_c}), with log h_k in
-    log_weights[k]."""
+    log_weights[k].  Both strengths below `critical` make the energy
+    coercive."""
 
     torus: FlatTorus
     rho: RhoPair
     mixing: tuple[tuple[float, ...], ...]
     terms: tuple[tuple[int, float], ...]
     log_weights: tuple[np.ndarray, ...]
+    critical: float
+
+    @classmethod
+    def of(cls, problem: str, h, rho: RhoPair, singular: SingularData) -> "EnergyKernel":
+        """The kernel of problem "toda" (weights (h1, h2), or one h for both) or
+        "meanfield" (one h), each weight desingularized with its component's
+        list; the scalar problem's marked points carry one weight, the first."""
+        if problem == "toda":
+            h1, h2 = h if isinstance(h, (tuple, list)) else (h, h)
+            return cls.toda(desingularized_weight(h1, singular, 1),
+                            desingularized_weight(h2, singular, 2), rho)
+        if problem == "meanfield":
+            if isinstance(h, (tuple, list)):
+                raise ValueError("the scalar problem takes a single weight field")
+            return cls.meanfield(desingularized_weight(h, singular, 1), rho)
+        raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")
 
     @staticmethod
     def toda(h1: GridField, h2: GridField, rho: RhoPair) -> "EnergyKernel":
         _check_grid(h2, h1.torus)
         return EnergyKernel(h1.torus, rho, ((2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0)),
-                            ((0, 1.0), (1, 1.0)), (_log_weight(h1), _log_weight(h2)))
+                            ((0, 1.0), (1, 1.0)), (_log_weight(h1), _log_weight(h2)),
+                            4.0 * np.pi)
 
     @staticmethod
     def meanfield(h: GridField, rho: RhoPair) -> "EnergyKernel":
         log_h = _log_weight(h)
-        return EnergyKernel(h.torus, rho, ((1.0,),), ((0, 1.0), (0, -1.0)), (log_h, log_h))
+        return EnergyKernel(h.torus, rho, ((1.0,),), ((0, 1.0), (0, -1.0)), (log_h, log_h),
+                            8.0 * np.pi)
+
+    @property
+    def coercive(self) -> bool:
+        return self.rho.rho1 < self.critical and self.rho.rho2 < self.critical
 
     def evaluate(self, values: Sequence[np.ndarray],
                  spectra: Sequence[np.ndarray]) -> Evaluation:

@@ -285,7 +285,9 @@ def minus_laplacian_symbol(torus: FlatTorus) -> np.ndarray:
 
 
 def _weighted_inner(weights: np.ndarray, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-    return float(np.vdot(b_hat, weights * a_hat).real)
+    # a numpy reduction, not np.vdot: BLAS may split the sum over threads, and
+    # the result would then depend on the thread count
+    return float((weights * (a_hat.real * b_hat.real + a_hat.imag * b_hat.imag)).sum())
 
 
 def spectral_inner(torus: FlatTorus, a_hat: np.ndarray, b_hat: np.ndarray) -> float:

@@ -22,7 +22,7 @@ designed to exhibit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .measures import (
 )
 
 DEFAULT_SUBSAMPLES = 8
-DEFAULT_ADMISSION = 0.25
+# `psi_map` is defined only when some density lies within this distance of its atomic set
+ADMISSION = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,25 +107,27 @@ def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
     return acc / subsamples**2
 
 
-def test_function(torus: FlatTorus, zeta: JoinElement, lam: float,
-                  subsamples: int = DEFAULT_SUBSAMPLES) -> tuple[GridField, GridField]:
-    """The two-component peak family (v1 - v2/2, -v1/2 + v2) at parameter lambda."""
+def _bubble_sums(torus: FlatTorus, zeta: JoinElement, lam: float,
+                 subsamples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log bubble sums (v1, v2) of sigma1 and sigma2 at their scales for lambda."""
     if lam <= 0:
         raise ValueError(f"concentration parameter must be positive, got {lam}")
     s1, s2 = zeta.scales(lam)
-    v1 = _log_bubble_sum(torus, zeta.sigma1, s1, subsamples)
-    v2 = _log_bubble_sum(torus, zeta.sigma2, s2, subsamples)
+    return (_log_bubble_sum(torus, zeta.sigma1, s1, subsamples),
+            _log_bubble_sum(torus, zeta.sigma2, s2, subsamples))
+
+
+def test_function(torus: FlatTorus, zeta: JoinElement, lam: float,
+                  subsamples: int = DEFAULT_SUBSAMPLES) -> tuple[GridField, GridField]:
+    """The two-component peak family (v1 - v2/2, -v1/2 + v2) at parameter lambda."""
+    v1, v2 = _bubble_sums(torus, zeta, lam, subsamples)
     return (GridField(torus, v1 - 0.5 * v2), GridField(torus, -0.5 * v1 + v2))
 
 
 def scalar_test_function(torus: FlatTorus, zeta: JoinElement, lam: float,
                          subsamples: int = DEFAULT_SUBSAMPLES) -> GridField:
     """The scalar peak family v1 - v2 (positive peaks on curve 1, negative on 2)."""
-    if lam <= 0:
-        raise ValueError(f"concentration parameter must be positive, got {lam}")
-    s1, s2 = zeta.scales(lam)
-    v1 = _log_bubble_sum(torus, zeta.sigma1, s1, subsamples)
-    v2 = _log_bubble_sum(torus, zeta.sigma2, s2, subsamples)
+    v1, v2 = _bubble_sums(torus, zeta, lam, subsamples)
     return GridField(torus, v1 - v2)
 
 
@@ -160,37 +163,33 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _energy_sweep(zeta: JoinElement, lambdas: Sequence[float],
+                  energy: Callable[[float], float]) -> SweepCurve:
+    """`energy` at each lambda of the grid, with the top-decade slope of the
+    energy against log lambda."""
+    lams = _check_lambda_grid(lambdas)
+    values = np.array([energy(lam) for lam in lams])
+    mask = lams >= lams[-1] / 10.0
+    slope = _fit_slope(np.log(lams[mask]), values[mask])
+    s1, s2 = zip(*(zeta.scales(lam) for lam in lams))
+    return SweepCurve(lams, np.array(s1), np.array(s2), values, slope, mask)
+
+
 def energy_curve(torus: FlatTorus, zeta: JoinElement, rho: RhoPair,
                  lambdas: Sequence[float], h1: GridField, h2: GridField,
                  subsamples: int = DEFAULT_SUBSAMPLES) -> SweepCurve:
     """Two-component energy along the peak family, with the top-decade slope
     of the energy against log lambda."""
-    lams = _check_lambda_grid(lambdas)
-    values = []
-    for lam in lams:
-        phi1, phi2 = test_function(torus, zeta, lam, subsamples)
-        values.append(toda_energy(phi1, phi2, h1, h2, rho).total)
-    values = np.array(values)
-    mask = lams >= lams[-1] / 10.0
-    slope = _fit_slope(np.log(lams[mask]), values[mask])
-    s1, s2 = zip(*(zeta.scales(lam) for lam in lams))
-    return SweepCurve(lams, np.array(s1), np.array(s2), values, slope, mask)
+    return _energy_sweep(zeta, lambdas, lambda lam: toda_energy(
+        *test_function(torus, zeta, lam, subsamples), h1, h2, rho).total)
 
 
 def scalar_energy_curve(torus: FlatTorus, zeta: JoinElement, rho: RhoPair,
                         lambdas: Sequence[float], h: GridField,
                         subsamples: int = DEFAULT_SUBSAMPLES) -> SweepCurve:
     """Scalar energy along the scalar peak family, same reporting."""
-    lams = _check_lambda_grid(lambdas)
-    values = []
-    for lam in lams:
-        phi = scalar_test_function(torus, zeta, lam, subsamples)
-        values.append(meanfield_energy(phi, h, rho).total)
-    values = np.array(values)
-    mask = lams >= lams[-1] / 10.0
-    slope = _fit_slope(np.log(lams[mask]), values[mask])
-    s1, s2 = zip(*(zeta.scales(lam) for lam in lams))
-    return SweepCurve(lams, np.array(s1), np.array(s2), values, slope, mask)
+    return _energy_sweep(zeta, lambdas, lambda lam: meanfield_energy(
+        scalar_test_function(torus, zeta, lam, subsamples), h, rho).total)
 
 
 # ----- projection back to the join --------------------------------------------
@@ -214,24 +213,23 @@ def rtilde(d1: float, d2: float) -> float:
 
 
 def psi_map(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
-            k: int, l: int, curves: CurveSystem,
-            admission: float = DEFAULT_ADMISSION) -> JoinElement:
+            k: int, l: int, curves: CurveSystem) -> JoinElement:
     """Project a pair of fields onto the join of atomic measures on the circles.
 
     Each normalized density h_i e^{u_i}/int is approximated by at most k
     (resp. l) atoms; the achieved distances set the join coordinate through
     `rtilde`, and the atoms are pushed onto their circles (coincident images
-    merge).  When both densities stay farther than `admission` from their
+    merge).  When both densities stay farther than `ADMISSION` from their
     atomic sets, the pair is outside the concentration regime and the map is
     not defined."""
     f1 = DiscreteMeasure.from_field(normalized_density(u1, h1))
     f2 = DiscreteMeasure.from_field(normalized_density(u2, h2))
     d1, sigma1 = distance_to_barycenters(f1, k)
     d2, sigma2 = distance_to_barycenters(f2, l)
-    if d1 > admission and d2 > admission:
+    if d1 > ADMISSION and d2 > ADMISSION:
         raise ValueError(
             f"both densities are far from their atomic sets "
-            f"(d1={d1:.4g}, d2={d2:.4g} > {admission}); projection undefined")
+            f"(d1={d1:.4g}, d2={d2:.4g} > {ADMISSION}); projection undefined")
     r = rtilde(d1, d2)
     return JoinElement(push_forward(sigma1, curves, 1), push_forward(sigma2, curves, 2), r)
 
@@ -247,16 +245,14 @@ class HomotopyReport:
 
 def homotopy_identity_check(torus: FlatTorus, zeta: JoinElement, lam: float,
                             h1: GridField, h2: GridField, curves: CurveSystem,
-                            subsamples: int = DEFAULT_SUBSAMPLES,
-                            admission: float = DEFAULT_ADMISSION) -> HomotopyReport:
+                            subsamples: int = DEFAULT_SUBSAMPLES) -> HomotopyReport:
     """Round trip zeta -> peak family -> projection, measured per component.
 
     Displacements are transport distances between seed and recovered atoms;
     the join coordinate is compared against plateau(r), the value the round
     trip is designed to approach as lambda grows."""
     phi1, phi2 = test_function(torus, zeta, lam, subsamples)
-    out = psi_map(phi1, phi2, h1, h2, zeta.sigma1.capacity, zeta.sigma2.capacity,
-                  curves, admission=admission)
+    out = psi_map(phi1, phi2, h1, h2, zeta.sigma1.capacity, zeta.sigma2.capacity, curves)
     disp1 = kr_transport(zeta.sigma1, out.sigma1, torus=torus).distance
     disp2 = kr_transport(zeta.sigma2, out.sigma2, torus=torus).distance
     return HomotopyReport(disp1, disp2, abs(out.r - plateau(zeta.r)))

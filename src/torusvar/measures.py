@@ -233,7 +233,7 @@ def _closed_form_or_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
     for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
         if len(pts_one) == 1:
             d = np.minimum(_pairwise_distance(torus, pts_many, pts_one)[:, 0], 2.0)
-            return TransportResult(float(np.dot(w_many, d)), bound, sizes, prefix + "closed-form")
+            return TransportResult(float((w_many * d).sum()), bound, sizes, prefix + "closed-form")
     if len(w_a) > len(w_b) or (len(w_a) == len(w_b) and _side_key(pts_a, w_a) > _side_key(pts_b, w_b)):
         pts_a, w_a, pts_b, w_b = pts_b, w_b, pts_a, w_a
     return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), bound, sizes, prefix + "lp")

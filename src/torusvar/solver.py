@@ -45,7 +45,6 @@ from .geometry import (
     GridField,
     Point,
     SingularData,
-    desingularized_weight,
     from_spectrum,
     laplacian_array,
     minus_laplacian_symbol,
@@ -57,27 +56,23 @@ from .quantization import blowup_candidates, global_lambda, nearest_scalar_line,
 
 # Hessian-vector products per Newton step at most (the inner CG cap)
 _CG_CAP = 20
+# backtracking factor and Armijo constant of the line search
+_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
+# tau in the preconditioner (-Lap + tau)^-1 and in the smoothed stop residual
+_PRECONDITIONER_SHIFT = 1.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-8
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    preconditioner_shift: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 0:
             raise ValueError("iteration cap must be non-negative")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient tolerance must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("backtracking shrink factor must lie in (0, 1)")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("sufficient-decrease (Armijo) constant must lie in (0, 1)")
-        if self.preconditioner_shift <= 0:
-            raise ValueError("preconditioner shift must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,37 +88,12 @@ class SolveResult:
     stop_reason: str
 
 
-def _weights(problem: str, h, singular: SingularData) -> tuple[GridField, GridField]:
-    """Resolve the (possibly singular) weights for either problem.
-
-    The two-component problem desingularizes each component with its own
-    weight list; the scalar problem uses the first list for both exponential
-    terms (its marked points carry a single weight)."""
-    if problem == "toda":
-        h1, h2 = h if isinstance(h, (tuple, list)) else (h, h)
-        return (desingularized_weight(h1, singular, 1),
-                desingularized_weight(h2, singular, 2))
-    if problem == "meanfield":
-        if isinstance(h, (tuple, list)):
-            raise ValueError("the scalar problem takes a single weight field")
-        ht = desingularized_weight(h, singular, 1)
-        return (ht, ht)
-    raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")
-
-
-def _is_coercive(problem: str, rho: RhoPair) -> bool:
-    limit = 4.0 * np.pi if problem == "toda" else 8.0 * np.pi
-    return rho.rho1 < limit and rho.rho2 < limit
-
-
 def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
              config: SolverConfig = SolverConfig(),
              initial: Optional[tuple[GridField, ...]] = None) -> SolveResult:
     """Newton-CG on the chosen energy from the given (or zero) state."""
-    h1, h2 = _weights(problem, h, singular)
-    torus = h1.torus
-    kernel = (EnergyKernel.toda(h1, h2, rho) if problem == "toda"
-              else EnergyKernel.meanfield(h1, rho))
+    kernel = EnergyKernel.of(problem, h, rho, singular)
+    torus = kernel.torus
     ncomp = len(kernel.mixing)
     if initial is None:
         spectra = [np.zeros((torus.n, torus.n // 2 + 1), dtype=complex) for _ in range(ncomp)]
@@ -133,7 +103,7 @@ def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
         spectra = [to_spectrum(f.values) for f in initial]
     for coeffs in spectra:
         coeffs[0, 0] = 0.0
-    shifted = minus_laplacian_symbol(torus) + config.preconditioner_shift
+    shifted = minus_laplacian_symbol(torus) + _PRECONDITIONER_SHIFT
     unmixing = np.linalg.inv(kernel.mixing)
 
     def inner(a: list, b: list) -> float:
@@ -214,11 +184,11 @@ def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
             value = trial.report.total
             # a unit step whose energy change is below float resolution cannot
             # be judged by Armijo; take it and let the residual decide
-            if (value <= current + config.sufficient_decrease * step * slope
+            if (value <= current + _SUFFICIENT_DECREASE * step * slope
                     or (step == 1.0 and abs(value - current) <= tiny)):
                 accepted = True
                 break
-            step *= config.shrink
+            step *= _SHRINK
         if not accepted:
             reason = "line-search-failed"
             break
@@ -228,7 +198,16 @@ def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
 
     fields = tuple(GridField(torus, from_spectrum(torus, c)) for c in spectra)
     return SolveResult(fields, current, residual, iterations, reason == "converged",
-                       _is_coercive(problem, rho), reason)
+                       kernel.coercive, reason)
+
+
+def _exponentials(kernel: EnergyKernel, u: Sequence[GridField]) -> list[np.ndarray]:
+    """Per exponential term (component c, sign s), h_k e^{s u_c} divided by its maximum."""
+    out = []
+    for (c, sign), log_h in zip(kernel.terms, kernel.log_weights):
+        t = sign * u[c].values + log_h
+        out.append(np.exp(t - t.max()))
+    return out
 
 
 def pde_residual(u: Sequence[GridField], h, rho: RhoPair, singular: SingularData) -> float:
@@ -236,28 +215,16 @@ def pde_residual(u: Sequence[GridField], h, rho: RhoPair, singular: SingularData
 
     Two components: -Lap u1 = 2 rho1 (f1 - 1) - rho2 (f2 - 1) and its mirror.
     One component: -Lap u = rho1 (f+ - 1) - rho2 (f- - 1)."""
-    problem = "toda" if len(u) == 2 else "meanfield"
-    h1, h2 = _weights(problem, h, singular)
+    kernel = EnergyKernel.of("toda" if len(u) == 2 else "meanfield", h, rho, singular)
     torus = u[0].torus
-
-    def density(vals: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        shift = vals.max()
-        raw = weight * np.exp(vals - shift)
-        return raw / (raw.sum() * torus.cell_area)
-
-    if problem == "toda":
-        f1 = density(u[0].values, h1.values)
-        f2 = density(u[1].values, h2.values)
-        r1 = -laplacian_array(torus, u[0].values) \
-            - 2.0 * rho.rho1 * (f1 - 1.0) + rho.rho2 * (f2 - 1.0)
-        r2 = -laplacian_array(torus, u[1].values) \
-            - 2.0 * rho.rho2 * (f2 - 1.0) + rho.rho1 * (f1 - 1.0)
-        return float(np.sqrt(((r1 * r1 + r2 * r2).sum()) * torus.cell_area))
-    f_plus = density(u[0].values, h1.values)
-    f_minus = density(-u[0].values, h1.values)
-    r = -laplacian_array(torus, u[0].values) \
-        - rho.rho1 * (f_plus - 1.0) + rho.rho2 * (f_minus - 1.0)
-    return float(np.sqrt((r * r).sum() * torus.cell_area))
+    f = [e / (e.sum() * torus.cell_area) for e in _exponentials(kernel, u)]
+    minus_lap = [-laplacian_array(torus, component.values) for component in u]
+    if len(u) == 2:
+        residuals = (minus_lap[0] - 2.0 * rho.rho1 * (f[0] - 1.0) + rho.rho2 * (f[1] - 1.0),
+                     minus_lap[1] - 2.0 * rho.rho2 * (f[1] - 1.0) + rho.rho1 * (f[0] - 1.0))
+    else:
+        residuals = (minus_lap[0] - rho.rho1 * (f[0] - 1.0) + rho.rho2 * (f[1] - 1.0),)
+    return float(np.sqrt(sum((r * r).sum() for r in residuals) * torus.cell_area))
 
 
 def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
@@ -318,35 +285,27 @@ class MassReport:
 
 def blowup_masses(u: Sequence[GridField], h, rho: RhoPair, centers: Sequence[Point],
                   r: float, singular: SingularData = SingularData.empty()) -> list[MassReport]:
-    """Local exponential masses rho_i * (f_i mass in B_r(center)) per center,
-    with the nearest quantization-table entry for reference."""
-    problem = "toda" if len(u) == 2 else "meanfield"
-    h1, h2 = _weights(problem, h, singular)
+    """Local exponential masses rho_k * (f_k mass in B_r(center)) per center
+    and exponential term, with the nearest quantization-table entry for
+    reference."""
+    kernel = EnergyKernel.of("toda" if len(u) == 2 else "meanfield", h, rho, singular)
     torus = u[0].torus
     if r <= 2.0 * torus.max_spacing:
         raise ValueError(f"ball radius {r} must exceed two grid spacings")
-
-    def local_fraction(vals: np.ndarray, weight: np.ndarray, ball: np.ndarray) -> float:
-        shift = vals.max()
-        raw = weight * np.exp(vals - shift)
-        return float(raw[ball].sum() / raw.sum())
+    exponentials = _exponentials(kernel, u)
 
     reports = []
     for center in centers:
         ball = torus.distance_field(center) <= r
-        if problem == "toda":
-            masses = (rho.rho1 * local_fraction(u[0].values, h1.values, ball),
-                      rho.rho2 * local_fraction(u[1].values, h2.values, ball))
-        else:
-            masses = (rho.rho1 * local_fraction(u[0].values, h1.values, ball),
-                      rho.rho2 * local_fraction(-u[0].values, h1.values, ball))
+        masses = tuple(rho_k * float(e[ball].sum() / e.sum())
+                       for rho_k, e in zip(rho, exponentials))
         # candidate table at the nearest marked point if the ball reaches it
         index = None
         for j, p in enumerate(singular.points):
             if torus.distance(center, p) <= r:
                 index = j
                 break
-        if problem == "toda":
+        if len(u) == 2:
             table = blowup_candidates(singular, index)
         else:
             values = [8.0 * np.pi * n for n in range(1, 6)]

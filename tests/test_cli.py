@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,9 @@ from torusvar.cli import (
     write_field,
 )
 from torusvar.geometry import FlatTorus, random_smooth_field
+from torusvar.solver import SolverConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -59,10 +65,12 @@ class TestConfigValidation:
                                       "h": {"profile": "sin-bump", "amplitude": 1.5}})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("value", (0.0, 1.0, 2.0))
-    def test_sufficient_decrease_outside_the_unit_interval_exits_2(self, tmp_path, value):
-        cfg = write_config(tmp_path, {**SMALL_GRID, "solver": {"sufficient_decrease": value}})
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    def test_retired_solver_keys_are_ignored(self, tmp_path):
+        retired = {"shrink": 1.5, "sufficient_decrease": 2.0, "preconditioner_shift": -1.0}
+        cfg = ExperimentConfig.load(write_config(tmp_path, {**SMALL_GRID, "solver": retired}),
+                                    str(tmp_path / "out"), None, None, None)
+        assert cfg.solver == SolverConfig()
+        assert cfg.resolved["solver"] == {"max_iterations": 2000, "gradient_tolerance": 1e-8}
 
     def test_unknown_problem_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "sinh-gordon"})
@@ -303,6 +311,32 @@ class TestDeterminism:
                      "--threads", "2"]) == 0
         assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
         assert (out1 / "slopes.json").read_bytes() == (out2 / "slopes.json").read_bytes()
+
+    def test_blas_thread_count_does_not_change_a_solve(self, tmp_path):
+        # OpenBLAS splits a reduction across its threads, so results reached
+        # through it depend on OPENBLAS_NUM_THREADS, which --threads does not set
+        cfg = write_config(tmp_path, {
+            "grid": {"n": 256}, "problem": "toda",
+            "h": {"profile": "gauss-bump", "amplitude": 0.5, "width": 0.15,
+                  "center": [0.3, 0.4]},
+            "h2": {"profile": "gauss-bump", "amplitude": -0.4, "width": 0.12,
+                   "center": [0.7, 0.15]},
+            "singular": {"points": [[0.25, 0.75], [0.75, 0.3]],
+                         "alpha1": [0.5, 1.0], "alpha2": [1.0, 0.5]},
+            "solver": {"gradient_tolerance": 5e-9}})
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-m", "torusvar.cli", "solve", "--config", cfg,
+                            "--out", str(out), "--threads", "1"],
+                           env=env, check=True, timeout=300)
+            outs.append(out)
+        files1, files2 = self.data_files(outs[0]), self.data_files(outs[1])
+        assert [p.name for p in files1] == [p.name for p in files2]
+        for p1, p2 in zip(files1, files2):
+            assert p1.read_bytes() == p2.read_bytes(), p1.name
 
     def test_timestamps_live_only_in_the_manifest(self, tmp_path):
         cfg = write_config(tmp_path, self.MT_CONFIG)

@@ -198,6 +198,25 @@ class TestMeanfieldEnergy:
         assert np.abs(g.values).max() < 1e-12
 
 
+class TestKernelOf:
+    @pytest.mark.parametrize("problem, critical", (("toda", 4 * np.pi), ("meanfield", 8 * np.pi)))
+    def test_coercive_exactly_below_the_critical_strength(self, aniso_weights, problem,
+                                                           critical):
+        h = aniso_weights if problem == "toda" else aniso_weights[0]
+
+        def coercive(rho1, rho2):
+            return EnergyKernel.of(problem, h, RhoPair(rho1, rho2), SingularData.empty()).coercive
+
+        below, above = np.nextafter(critical, 0.0), np.nextafter(critical, np.inf)
+        assert coercive(below, below)
+        assert coercive(0.0, 0.0)
+        for rho1, rho2 in ((critical, 1.0), (above, 1.0), (1.0, critical), (1.0, above),
+                           (critical, critical)):
+            assert not coercive(rho1, rho2), (rho1, rho2)
+        # 6 pi lies between the two critical strengths
+        assert coercive(6 * np.pi, 6 * np.pi) == (problem == "meanfield")
+
+
 def kernel_for(problem: str, torus: FlatTorus, marked: bool) -> EnergyKernel:
     """Either energy on `torus` with smooth weights, desingularized at two
     marked points when `marked`."""

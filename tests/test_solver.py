@@ -11,7 +11,13 @@ from torusvar.functionals import (
     toda_energy,
     toda_gradient,
 )
-from torusvar.geometry import FlatTorus, SingularData, desingularized_weight, random_smooth_field
+from torusvar.geometry import (
+    FlatTorus,
+    SingularData,
+    desingularized_weight,
+    laplacian_array,
+    random_smooth_field,
+)
 from torusvar.solver import (
     SolverConfig,
     blowup_masses,
@@ -120,13 +126,6 @@ class TestMinimize:
             SolverConfig(max_iterations=-1)
         with pytest.raises(ValueError):
             SolverConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(shrink=1.0)
-        for bad in (0.0, 1.0, 2.0, -1e-4):
-            with pytest.raises(ValueError, match="sufficient-decrease"):
-                SolverConfig(sufficient_decrease=bad)
-        with pytest.raises(ValueError):
-            SolverConfig(preconditioner_shift=-1.0)
 
 
 class InfiniteTrialKernel(EnergyKernel):
@@ -262,7 +261,7 @@ class ReferenceDescent:
         return [gi - gi.mean() for gi in g]
 
     def minimize(self, problem, h, rho, config, state):
-        tau = config.preconditioner_shift
+        tau = 1.0
         area = self.area
 
         def smooth(g):
@@ -288,10 +287,10 @@ class ReferenceDescent:
                 trial = [s + step * d for s, d in zip(state, direction)]
                 trial = [t - t.mean() for t in trial]
                 value = self.energy(problem, trial, h, rho)
-                if value <= current + config.sufficient_decrease * step * slope:
+                if value <= current + 1e-4 * step * slope:
                     accepted = True
                     break
-                step *= config.shrink
+                step *= 0.5
             if not accepted:
                 break
             stalled = current - value <= 4.0 * np.finfo(float).eps * (1.0 + abs(current))
@@ -368,6 +367,83 @@ class TestStrongResidual:
             result = minimize("meanfield", h, rho, singular, config, start)
             assert result.converged, seed
             assert pde_residual(result.u, h, rho, singular) <= 1e-6, seed
+
+
+# ----- reference: the per-problem formulas of the string-dispatched solver ---
+
+def resolved_weights(problem, h, singular):
+    """The desingularized weights, one per component (two for "toda")."""
+    if problem == "toda":
+        return [desingularized_weight(w, singular, i + 1).values for i, w in enumerate(h)]
+    return [desingularized_weight(h, singular, 1).values]
+
+
+def reference_exponential(values, weight):
+    return weight * np.exp(values - values.max())
+
+
+def reference_pde_residual(u, weights, rho):
+    torus = u[0].torus
+
+    def density(values, weight):
+        raw = reference_exponential(values, weight)
+        return raw / (raw.sum() * torus.cell_area)
+
+    if len(u) == 2:
+        f1, f2 = density(u[0].values, weights[0]), density(u[1].values, weights[1])
+        r1 = -laplacian_array(torus, u[0].values) \
+            - 2.0 * rho.rho1 * (f1 - 1.0) + rho.rho2 * (f2 - 1.0)
+        r2 = -laplacian_array(torus, u[1].values) \
+            - 2.0 * rho.rho2 * (f2 - 1.0) + rho.rho1 * (f1 - 1.0)
+        return float(np.sqrt(((r1 * r1 + r2 * r2).sum()) * torus.cell_area))
+    f_plus, f_minus = density(u[0].values, weights[0]), density(-u[0].values, weights[0])
+    r = -laplacian_array(torus, u[0].values) \
+        - rho.rho1 * (f_plus - 1.0) + rho.rho2 * (f_minus - 1.0)
+    return float(np.sqrt((r * r).sum() * torus.cell_area))
+
+
+def reference_masses(u, weights, rho, ball):
+    def local_fraction(values, weight):
+        raw = reference_exponential(values, weight)
+        return float(raw[ball].sum() / raw.sum())
+
+    if len(u) == 2:
+        return (rho.rho1 * local_fraction(u[0].values, weights[0]),
+                rho.rho2 * local_fraction(u[1].values, weights[1]))
+    return (rho.rho1 * local_fraction(u[0].values, weights[0]),
+            rho.rho2 * local_fraction(-u[0].values, weights[0]))
+
+
+def reference_cases(torus, aniso_weights):
+    """(problem, weights, state, rho, singular): both problems, with and
+    without two marked points, at random states far from solving."""
+    rng = np.random.default_rng(17)
+    marked = SingularData.of([(0.3, 0.6), (0.7, 0.1)], [0.5, 1.0], [1.0, 0.5], torus)
+    for singular in (EMPTY, marked):
+        yield ("toda", aniso_weights,
+               (random_smooth_field(torus, rng, scale=1.5), random_smooth_field(torus, rng)),
+               RhoPair(2 * np.pi, 3.0), singular)
+        yield ("meanfield", aniso_weights[0], (random_smooth_field(torus, rng, scale=1.5),),
+               RhoPair(4 * np.pi, 5.0), singular)
+
+
+class TestAgainstThePerProblemFormulas:
+    def test_pde_residual(self, torus64, aniso_weights):
+        for problem, h, u, rho, singular in reference_cases(torus64, aniso_weights):
+            expected = reference_pde_residual(u, resolved_weights(problem, h, singular), rho)
+            assert pde_residual(u, h, rho, singular) == pytest.approx(expected, rel=1e-12), \
+                (problem, singular.points)
+
+    def test_blowup_masses(self, torus64, aniso_weights):
+        centers = [torus64.point(0.3, 0.6), torus64.point(0.5, 0.5), torus64.point(0.9, 0.2)]
+        r = 0.2
+        for problem, h, u, rho, singular in reference_cases(torus64, aniso_weights):
+            weights = resolved_weights(problem, h, singular)
+            for report in blowup_masses(u, h, rho, centers, r, singular):
+                ball = torus64.distance_field(report.center) <= r
+                expected = reference_masses(u, weights, rho, ball)
+                assert report.masses == pytest.approx(expected, rel=1e-12), \
+                    (problem, singular.points, report.center)
 
 
 class TestPdeResidual:
