@@ -65,8 +65,9 @@ class TestConfigValidation:
                                       "h": {"profile": "sin-bump", "amplitude": 1.5}})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
-    def test_retired_solver_keys_are_ignored(self, tmp_path):
-        retired = {"shrink": 1.5, "sufficient_decrease": 2.0, "preconditioner_shift": -1.0}
+    @pytest.mark.parametrize("value", (0.0, 1.0, 2.0))
+    def test_retired_solver_keys_are_ignored(self, tmp_path, value):
+        retired = {"shrink": 1.5, "sufficient_decrease": value, "preconditioner_shift": -1.0}
         cfg = ExperimentConfig.load(write_config(tmp_path, {**SMALL_GRID, "solver": retired}),
                                     str(tmp_path / "out"), None, None, None)
         assert cfg.solver == SolverConfig()
