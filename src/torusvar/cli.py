@@ -213,13 +213,15 @@ class ExperimentConfig:
             h2 = h_profile(torus, raw.get("h2", h_config))
             rho_raw = raw.get("rho", [2.0 * np.pi, 2.0 * np.pi])
             rho = RhoPair(float(rho_raw[0]), float(rho_raw[1]))
+            lambdas = tuple(_lambda_grid(raw.get("lambdas", {"start": 10.0, "stop": 1000.0,
+                                                             "count": 9})))
+            if tol is None and raw.get("tol") is not None:
+                tol = float(raw["tol"])
         except ConfigError:
             raise
         except (ValueError, TypeError, IndexError) as exc:
             raise ConfigError(str(exc)) from exc
 
-        lambdas = tuple(_lambda_grid(raw.get("lambdas", {"start": 10.0, "stop": 1000.0,
-                                                         "count": 9})))
         resolved = {
             "grid": {"n": torus.n, "periods": [torus.L1, torus.L2]},
             "curves": {"c1": curves.c1, "c2": curves.c2},
@@ -234,7 +236,7 @@ class ExperimentConfig:
                        "gradient_tolerance": solver.gradient_tolerance},
             "seed": seed if seed is not None else _expect(raw, "seed", int, 0),
             "threads": threads if threads is not None else _expect(raw, "threads", int, 1),
-            "tol": tol if tol is not None else raw.get("tol"),
+            "tol": tol,
         }
         for key in ("problem", "initial", "components", "r_values", "lam", "box",
                     "rho_samples", "alpha", "nu", "steps", "subsamples",
@@ -247,14 +249,14 @@ class ExperimentConfig:
             raise ConfigError("atom budgets k and l must be at least 1")
         if resolved["threads"] < 1:
             raise ConfigError("thread count must be at least 1")
-        if resolved["tol"] is not None and float(resolved["tol"]) <= 0:
+        if tol is not None and tol <= 0:
             raise ConfigError("tolerance must be positive when given")
 
         return ExperimentConfig(
             torus=torus, curves=curves, singular=singular, h1=h1, h2=h2, rho=rho,
             lambdas=lambdas, k=resolved["k"], l=resolved["l"], r=resolved["r"],
             solver=solver, seed=int(resolved["seed"]), threads=int(resolved["threads"]),
-            tol=None if resolved["tol"] is None else float(resolved["tol"]),
+            tol=tol,
             out=Path(out), resolved=resolved)
 
     def option(self, key: str, default):

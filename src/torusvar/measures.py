@@ -7,11 +7,10 @@ cost min(d(x, y), 2), which agrees with the dual formulation over functions
 with max(sup norm, Lipschitz seminorm) <= 1; the cap binds only on tori whose
 diameter exceeds 2 (period ratio above about 16).
 
-Dispatch for the distance: sides with a single support point use the closed
-form sum_i m_i d(x_i, z); small instances are solved as an exact sparse
-linear program; anything larger is coarsened to a `coarse_n` x `coarse_n`
-grid of mass-weighted cell centroids, which perturbs the value by at most
-diameter/coarse_n per coarsened side (the reported error bound).
+Every distance is exact.  A side with a single support point z gives the
+closed form sum_i m_i min(d(x_i, z), 2); any other pair is solved as a sparse
+linear program over the full transport plan, which is refused (ValueError)
+when the plan has more than `LP_ENTRY_LIMIT` entries.
 
 The module also carries the constructive covering/merging and
 spread-detection routines used to decide whether a density is concentrated
@@ -28,13 +27,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .functionals import normalized_density
 from .geometry import CurveSystem, FlatTorus, GridField, Point
 
 MASS_TOLERANCE = 1e-9
+LP_ENTRY_LIMIT = 2**16  # |support a| x |support b| above this is refused
 
 
 @dataclass
@@ -136,11 +134,11 @@ def push_forward(sigma: BarycenterMeasure, curves: CurveSystem, component: int) 
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Outcome of a distance evaluation: value, certified coarsening bound, route."""
+    """Outcome of a distance evaluation: the exact value, its error bound
+    (always 0.0) and the route, "closed-form" or "lp"."""
 
     distance: float
     error_bound: float
-    support_sizes: tuple[int, int]
     method: str
 
 
@@ -160,27 +158,13 @@ def _pairwise_distance(torus: FlatTorus, a: np.ndarray, b: np.ndarray) -> np.nda
     return np.hypot(d1, d2)
 
 
-def _coarsen_support(torus: FlatTorus, pts: np.ndarray, w: np.ndarray,
-                     coarse_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate support points into mass-weighted centroids per coarse cell.
-
-    Cells are index ranges along each axis, so no cell wraps around the torus
-    and the plain arithmetic centroid stays inside its cell."""
-    edges1 = np.floor(pts[:, 0] / torus.L1 * coarse_n).astype(int) % coarse_n
-    edges2 = np.floor(pts[:, 1] / torus.L2 * coarse_n).astype(int) % coarse_n
-    key = edges1 * coarse_n + edges2
-    size = coarse_n * coarse_n
-    mass = np.bincount(key, weights=w, minlength=size)
-    mx1 = np.bincount(key, weights=w * pts[:, 0], minlength=size)
-    mx2 = np.bincount(key, weights=w * pts[:, 1], minlength=size)
-    keep = mass > 0
-    centroids = np.column_stack([mx1[keep] / mass[keep], mx2[keep] / mass[keep]])
-    return centroids, mass[keep]
-
-
 def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
                   pts_b: np.ndarray, w_b: np.ndarray) -> float:
     """Exact min-cost transport between two finite supports (sparse LP)."""
+    # imported here so that runs which never solve an LP do not load scipy.optimize
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     cost = np.minimum(_pairwise_distance(torus, pts_a, pts_b), 2.0)
     m, n = cost.shape
     row_sums = sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n)), format="csr")
@@ -195,9 +179,13 @@ def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
     return float(res.fun)
 
 
-def kr_transport(mu: Measure, nu: Measure, coarse_n: int = 48,
-                 exact_limit: int = 4096, torus: FlatTorus | None = None) -> TransportResult:
-    """Transport distance with dispatch and a certified coarsening error bound."""
+def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> TransportResult:
+    """Exact transport distance.
+
+    Closed form when one side is a single atom (every unit of mass travels
+    straight to that atom), else the exact LP in a canonical orientation so the
+    value is bit-identical under argument swap.  An LP whose plan would have
+    more than `LP_ENTRY_LIMIT` entries raises ValueError before it is built."""
     gap = abs(mu.mass() - nu.mass())
     if gap > MASS_TOLERANCE:
         raise ValueError(f"measures have unequal masses (gap {gap:.3e})")
@@ -209,43 +197,25 @@ def kr_transport(mu: Measure, nu: Measure, coarse_n: int = 48,
         torus = nu.torus
     elif torus is None:
         torus = FlatTorus(16)  # atomic-only instances only need the (unit) periods
-    sizes = (len(w_a), len(w_b))
-    if 1 in sizes or sum(sizes) <= exact_limit:
-        return _closed_form_or_lp(torus, pts_a, w_a, pts_b, w_b, 0.0, sizes, "")
-
-    diameter = float(np.hypot(torus.L1 / 2.0, torus.L2 / 2.0))
-    bound = 0.0
-    if sizes[0] > exact_limit:
-        pts_a, w_a = _coarsen_support(torus, pts_a, w_a, coarse_n)
-        bound += diameter / coarse_n
-    if sizes[1] > exact_limit:
-        pts_b, w_b = _coarsen_support(torus, pts_b, w_b, coarse_n)
-        bound += diameter / coarse_n
-    return _closed_form_or_lp(torus, pts_a, w_a, pts_b, w_b, bound, sizes, "coarsened-")
-
-
-def _closed_form_or_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
-                       pts_b: np.ndarray, w_b: np.ndarray, bound: float,
-                       sizes: tuple[int, int], prefix: str) -> TransportResult:
-    """Closed form when one side is a single atom (every unit of mass travels
-    straight to that atom), else the exact LP in a canonical orientation so the
-    value is bit-identical under argument swap."""
     for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
         if len(pts_one) == 1:
             d = np.minimum(_pairwise_distance(torus, pts_many, pts_one)[:, 0], 2.0)
-            return TransportResult(float((w_many * d).sum()), bound, sizes, prefix + "closed-form")
+            return TransportResult(float((w_many * d).sum()), 0.0, "closed-form")
+    if len(w_a) * len(w_b) > LP_ENTRY_LIMIT:
+        raise ValueError(f"a transport plan between {len(w_a)} and {len(w_b)} support points "
+                         f"exceeds {LP_ENTRY_LIMIT} entries")
     if len(w_a) > len(w_b) or (len(w_a) == len(w_b) and _side_key(pts_a, w_a) > _side_key(pts_b, w_b)):
         pts_a, w_a, pts_b, w_b = pts_b, w_b, pts_a, w_a
-    return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), bound, sizes, prefix + "lp")
+    return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), 0.0, "lp")
 
 
 def _side_key(pts: np.ndarray, w: np.ndarray) -> tuple:
     return (pts.tobytes(), w.tobytes())
 
 
-def kr_distance(mu: Measure, nu: Measure, coarse_n: int = 48) -> float:
+def kr_distance(mu: Measure, nu: Measure) -> float:
     """Transport distance between two unit-mass measures (see `kr_transport`)."""
-    return kr_transport(mu, nu, coarse_n=coarse_n).distance
+    return kr_transport(mu, nu).distance
 
 
 # ----- projection onto atomic measures ---------------------------------------

@@ -100,6 +100,13 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--tol", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("bad", (
+        {"tol": "abc"}, {"tol": [1]}, {"lambdas": {"start": "x"}}, {"lambdas": 5},
+    ), ids=("tol-text", "tol-list", "lambda-start-text", "lambdas-number"))
+    def test_malformed_tol_or_lambdas_exits_2(self, tmp_path, bad):
+        cfg = write_config(tmp_path, {**SMALL_GRID, **bad})
+        assert main(["quantization", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
     def test_cli_seed_overrides_config(self, tmp_path):
         cfg = ExperimentConfig.load(write_config(tmp_path, {"seed": 3}),
                                     str(tmp_path / "out"), 5, None, None)
@@ -347,3 +354,13 @@ class TestDeterminism:
         assert "timestamp" in manifest
         for path in self.data_files(out):
             assert "timestamp" not in path.read_text()
+
+
+def test_cli_import_leaves_the_lp_solver_unloaded():
+    # the transport LP imports scipy.optimize and scipy.sparse only when it runs
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    probe = ("import sys, torusvar.cli; "
+             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

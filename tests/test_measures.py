@@ -171,32 +171,24 @@ class TestKrTransport:
             expected = reference_lp(torus32, wa, pa, wb, pb)
             assert mine.distance == pytest.approx(expected, abs=1e-9)
 
-    def test_self_distance_vanishes_even_when_coarsened(self):
-        torus = FlatTorus(128)  # 16384 support points forces the coarsened route
+    def test_dense_self_distance_is_an_exact_zero(self):
+        torus = FlatTorus(16)  # 256 support points a side: the full LP
         f = bump_density(torus, Point(0.5, 0.5), lam=3.0)
-        out = kr_transport(f, f)
-        assert out.method == "coarsened-lp"
-        assert out.distance == pytest.approx(0.0, abs=1e-9)
-        assert out.error_bound > 0
+        assert route(kr_transport(f, f)) == (0.0, "lp", 0.0)
 
-    def test_coarsening_error_is_within_its_certificate(self):
-        # the coarsened value must approach the finely-coarsened value within
-        # the sum of the two certificates
-        torus = FlatTorus(128)
-        f = bump_density(torus, Point(0.3, 0.4), lam=8.0)
-        sigma = BarycenterMeasure.single(Point(0.8, 0.9))
-        rough = kr_transport(f, sigma, coarse_n=24)
-        fine = kr_transport(f, sigma, coarse_n=96)
-        assert abs(rough.distance - fine.distance) <= rough.error_bound + fine.error_bound
+    def test_plans_past_the_entry_limit_are_refused(self):
+        torus = FlatTorus(128)  # 16384 x 16384 entries
+        f = bump_density(torus, Point(0.3, 0.4), lam=3.0)
+        g = bump_density(torus, Point(0.7, 0.2), lam=3.0)
+        with pytest.raises(ValueError, match="16384 and 16384"):
+            kr_transport(f, g)
 
     @pytest.mark.parametrize("n, atoms, options, method, bound", [
         (16, 2, {}, "lp", 0.0),
         # one side is a single atom: no size limit applies
         (128, 1, {}, "closed-form", 0.0),
-        # the sides sum past exact_limit but neither exceeds it: nothing coarsens
-        (64, 2, {}, "coarsened-lp", 0.0),
-        (128, 2, {"coarse_n": 48}, "coarsened-lp", np.hypot(0.5, 0.5) / 48),
-        (128, 2, {"coarse_n": 1}, "coarsened-closed-form", np.hypot(0.5, 0.5)),
+        # 4096 x 2 plan entries: well inside the LP's entry limit
+        (64, 2, {}, "lp", 0.0),
     ])
     def test_each_route_pins_method_bound_and_swap(self, n, atoms, options, method, bound):
         torus = FlatTorus(n)
@@ -287,8 +279,8 @@ class TestDistanceToBarycenters:
         assert dist == pytest.approx(kr_transport(f, sigma).distance, rel=1e-12)
 
     def test_two_atom_distance_equals_an_uncoarsened_lp(self):
-        # 6400 support points: beyond kr_transport's exact limit, so only an
-        # LP over every grid node checks the value
+        # 6400 support points: an LP over every grid node, assembled
+        # independently, checks both the projection and the transport LP
         torus = FlatTorus(80)
         f = DiscreteMeasure(
             torus,
@@ -296,7 +288,11 @@ class TestDistanceToBarycenters:
             + 0.6 * bump_density(torus, Point(0.7, 0.75), lam=40.0).density).normalized()
         dist, sigma = distance_to_barycenters(f, 2)
         assert len(sigma.atoms) == 2
-        assert dist == pytest.approx(dense_to_atoms_lp(f, sigma), rel=1e-9)
+        expected = dense_to_atoms_lp(f, sigma)
+        assert dist == pytest.approx(expected, rel=1e-9)
+        out = kr_transport(f, sigma)
+        assert out.method == "lp"
+        assert out.distance == pytest.approx(expected, rel=1e-9)
 
 
 def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
