@@ -2,10 +2,11 @@
 
 Every subcommand reads a JSON config, writes CSV/JSON data plus a manifest
 (config echo, library versions, seed, thread count) into the output
-directory, and exits 0 on success, 2 on an invalid config, 3 on a module
-precondition failure, and 4 when a solve fails to converge.  Data outputs are
-byte-identical across runs with the same config, seed, and thread count;
-wall-clock timestamps appear only in the manifest.
+directory, and exits 0 on success, 2 on an invalid config (malformed values and
+non-object sections included), 3 on a module precondition failure, and 4 when a
+solve fails to converge.  Data outputs are byte-identical across runs with the
+same config, seed, and thread count; wall-clock timestamps appear only in the
+manifest.
 
 Grid fields are stored as flat binary: a 32-byte header (8-byte magic
 ``TORUSFLD``, unsigned 64-bit resolution, two 64-bit periods, all
@@ -68,8 +69,6 @@ from .solver import (
 )
 
 FIELD_MAGIC = b"TORUSFLD"
-SUBCOMMANDS = ("quantization", "test-energy", "kr-scaling", "projection",
-               "mt-check", "solve", "continuation")
 
 
 class ConfigError(ValueError):
@@ -114,18 +113,18 @@ def h_profile(torus: FlatTorus, config: dict) -> GridField:
     """Named weight profiles: `constant`, `sin-bump`, `gauss-bump` (periodicized)."""
     profile = config.get("profile", "constant")
     if profile == "constant":
-        return torus.constant_field(float(config.get("value", 1.0)))
+        return torus.constant_field(_expect(config, "value", float, 1.0))
     if profile == "sin-bump":
-        a = float(config.get("amplitude", 0.3))
+        a = _expect(config, "amplitude", float, 0.3)
         if not -1.0 < a < 1.0:
             raise ConfigError(f"sin-bump amplitude must lie in (-1, 1), got {a}")
         x1, x2 = torus.grids()
         return torus.field(1.0 + a * np.sin(2.0 * np.pi * x1 / torus.L1)
                            * np.sin(2.0 * np.pi * x2 / torus.L2))
     if profile == "gauss-bump":
-        a = float(config.get("amplitude", 0.5))
-        w = float(config.get("width", 0.1))
-        cx, cy = config.get("center", [0.5, 0.5])
+        a = _expect(config, "amplitude", float, 0.5)
+        w = _expect(config, "width", float, 0.1)
+        cx, cy = _expect(config, "center", _pair, (0.5, 0.5))
         if a <= -1.0 or w <= 0.0:
             raise ConfigError("gauss-bump needs amplitude > -1 and width > 0")
         x1, x2 = torus.grids()
@@ -141,22 +140,48 @@ def h_profile(torus: FlatTorus, config: dict) -> GridField:
 # ----- configuration --------------------------------------------------------------
 
 def _expect(mapping: dict, key: str, kind, default):
-    value = mapping.get(key, default)
+    """The one place a config value is converted: `kind` failing is a ConfigError."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        return kind(mapping.get(key, default))
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"config key {key!r} is invalid: {exc}") from exc
 
 
+def _section(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _list_of(kind):
+    def convert(values) -> list:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected a JSON list, got {values!r}")
+        return [kind(v) for v in values]
+    return convert
+
+
+def _pair(value) -> tuple[float, float]:
+    x, y = _list_of(float)(value)
+    return x, y
+
+
+def _one_of(*names):
+    def check(value):
+        if value not in names:
+            raise ValueError(f"expected one of {names}, got {value!r}")
+        return value
+    return check
+
+
 def _lambda_grid(config) -> list[float]:
-    if isinstance(config, dict):
-        start = float(config.get("start", 10.0))
-        stop = float(config.get("stop", 1000.0))
-        count = int(config.get("count", 9))
-        if config.get("spacing", "log") == "log":
-            return list(np.geomspace(start, stop, count))
-        return list(np.linspace(start, stop, count))
-    return [float(v) for v in config]
+    """An explicit list, or `start`/`stop`/`count` with `spacing` "log" or "linear"."""
+    if not isinstance(config, dict):
+        return _list_of(float)(config)
+    spacing = _expect(config, "spacing", _one_of("log", "linear"), "log")
+    return list((np.geomspace if spacing == "log" else np.linspace)(
+        _expect(config, "start", float, 10.0), _expect(config, "stop", float, 1000.0),
+        _expect(config, "count", int, 9)))
 
 
 @dataclass(frozen=True)
@@ -186,48 +211,41 @@ class ExperimentConfig:
         raw = {}
         if config_path is not None:
             try:
-                raw = json.loads(Path(config_path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                raw = _section(json.loads(Path(config_path).read_text()))
+            except (OSError, ValueError, TypeError) as exc:
                 raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ConfigError("config root must be a JSON object")
 
-        grid = raw.get("grid", {})
-        n = _expect(grid, "n", int, 64)
-        periods = grid.get("periods", [1.0, 1.0])
-        curves_raw = raw.get("curves", {})
-        singular_raw = raw.get("singular", {})
-        solver_raw = raw.get("solver", {})
+        if "alpha" in raw:
+            raise ConfigError("config key 'alpha' is retired: give 'singular' points instead")
+        grid, curves_raw, singular_raw, solver_raw = (
+            _expect(raw, key, _section, {}) for key in ("grid", "curves", "singular", "solver"))
+        h_config = _expect(raw, "h", _section, {"profile": "constant"})
+        h2_config = _expect(raw, "h2", _section, h_config)
         try:
-            torus = FlatTorus(n, float(periods[0]), float(periods[1]))
+            torus = FlatTorus(_expect(grid, "n", int, 64),
+                              *_expect(grid, "periods", _pair, (1.0, 1.0)))
             curves = CurveSystem(_expect(curves_raw, "c1", float, 0.25),
                                  _expect(curves_raw, "c2", float, 0.75))
-            singular = SingularData.of(
-                [tuple(p) for p in singular_raw.get("points", [])],
-                singular_raw.get("alpha1", []), singular_raw.get("alpha2", []), torus)
+            singular = SingularData.of(_expect(singular_raw, "points", _list_of(_pair), []),
+                                       _expect(singular_raw, "alpha1", _list_of(float), []),
+                                       _expect(singular_raw, "alpha2", _list_of(float), []), torus)
             solver = SolverConfig(
                 max_iterations=_expect(solver_raw, "max_iterations", int, 2000),
                 gradient_tolerance=_expect(solver_raw, "gradient_tolerance", float, 1e-8))
-            h_config = raw.get("h", {"profile": "constant"})
-            h1 = h_profile(torus, h_config)
-            h2 = h_profile(torus, raw.get("h2", h_config))
-            rho_raw = raw.get("rho", [2.0 * np.pi, 2.0 * np.pi])
-            rho = RhoPair(float(rho_raw[0]), float(rho_raw[1]))
-            lambdas = tuple(_lambda_grid(raw.get("lambdas", {"start": 10.0, "stop": 1000.0,
-                                                             "count": 9})))
-            if tol is None and raw.get("tol") is not None:
-                tol = float(raw["tol"])
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, IndexError) as exc:
+            h1, h2 = h_profile(torus, h_config), h_profile(torus, h2_config)
+            rho = RhoPair(*_expect(raw, "rho", _pair, (2.0 * np.pi, 2.0 * np.pi)))
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        lambdas = tuple(_expect(raw, "lambdas", _lambda_grid, {}))
+        if tol is None and raw.get("tol") is not None:
+            tol = _expect(raw, "tol", float, None)
 
         resolved = {
             "grid": {"n": torus.n, "periods": [torus.L1, torus.L2]},
             "curves": {"c1": curves.c1, "c2": curves.c2},
             "singular": {"points": [[p.x1, p.x2] for p in singular.points],
                          "alpha1": list(singular.alpha1), "alpha2": list(singular.alpha2)},
-            "h": h_config, "h2": raw.get("h2", h_config),
+            "h": h_config, "h2": h2_config,
             "rho": [rho.rho1, rho.rho2],
             "lambdas": list(lambdas),
             "k": _expect(raw, "k", int, 1), "l": _expect(raw, "l", int, 1),
@@ -238,9 +256,9 @@ class ExperimentConfig:
             "threads": threads if threads is not None else _expect(raw, "threads", int, 1),
             "tol": tol,
         }
-        for key in ("problem", "initial", "components", "r_values", "lam", "box",
-                    "rho_samples", "alpha", "nu", "steps", "subsamples",
-                    "fit_floor", "random_fields", "mass_centers", "mass_radius"):
+        for key in ("problem", "initial", "components", "r_values", "lam", "box", "rho_samples",
+                    "nu", "steps", "subsamples", "fit_floor", "random_fields", "mass_centers",
+                    "mass_radius"):
             if key in raw:
                 resolved[key] = raw[key]
         if not 0.0 <= resolved["r"] <= 1.0:
@@ -255,12 +273,11 @@ class ExperimentConfig:
         return ExperimentConfig(
             torus=torus, curves=curves, singular=singular, h1=h1, h2=h2, rho=rho,
             lambdas=lambdas, k=resolved["k"], l=resolved["l"], r=resolved["r"],
-            solver=solver, seed=int(resolved["seed"]), threads=int(resolved["threads"]),
-            tol=tol,
+            solver=solver, seed=resolved["seed"], threads=resolved["threads"], tol=tol,
             out=Path(out), resolved=resolved)
 
-    def option(self, key: str, default):
-        return self.resolved.get(key, default)
+    def option(self, key: str, kind, default):
+        return _expect(self.resolved, key, kind, default)
 
     def join_element(self) -> JoinElement:
         """Atoms spread evenly along each marked circle, snapped to grid nodes."""
@@ -283,8 +300,6 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, Point):
-        return [value.x1, value.x2]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -325,42 +340,35 @@ def _write_manifest(cfg: ExperimentConfig, subcommand: str) -> None:
 # ----- subcommands ----------------------------------------------------------------
 
 def _run_quantization(cfg: ExperimentConfig) -> int:
-    alpha = cfg.option("alpha", None)
-    if alpha is not None:
-        a1, a2 = float(alpha[0]), float(alpha[1])
-        singular = SingularData.of([(0.5, 0.5)], [a1], [a2], cfg.torus)
-    else:
-        singular = cfg.singular
-    pairs = list(zip(singular.alpha1, singular.alpha2)) or [(0.0, 0.0)]
-    box = cfg.option("box", [40.0, 40.0])
-    gs = global_lambda(singular, (float(box[0]), float(box[1])))
+    pairs = list(zip(cfg.singular.alpha1, cfg.singular.alpha2)) or [(0.0, 0.0)]
+    box = cfg.option("box", _pair, (40.0, 40.0))
+    samples = [RhoPair(*p) for p in cfg.option("rho_samples", _list_of(_pair), [])]
+    gs = global_lambda(cfg.singular, box)
     report = {
-        "local": [{"alpha": [a1, a2],
-                   "points": [list(p) for p in local_lambda(a1, a2).points]}
+        "local": [{"alpha": [a1, a2], "points": local_lambda(a1, a2).points}
                   for a1, a2 in pairs],
-        "candidates": [list(c) for c in blowup_candidates(singular)],
+        "candidates": blowup_candidates(cfg.singular),
         "global": {
-            "box": [float(box[0]), float(box[1])],
+            "box": box,
             "lambda1": sorted(gs.lambda1),
             "lambda2": sorted(gs.lambda2),
-            "lambda0": sorted(map(list, gs.lambda0)),
+            "lambda0": sorted(gs.lambda0),
         },
     }
     membership = []
-    for pair in cfg.option("rho_samples", []):
-        rho = RhoPair(float(pair[0]), float(pair[1]))
-        verdict = global_membership(rho, singular, cfg.tol if cfg.tol else 1e-9)
+    for rho in samples:
+        verdict = global_membership(rho, cfg.singular, cfg.tol if cfg.tol else 1e-9)
         membership.append({"rho": [rho.rho1, rho.rho2], "inside": verdict.inside,
                            "distance": verdict.nearest_distance,
-                           "witness": _jsonable(verdict.witness)})
+                           "witness": verdict.witness})
     report["membership"] = membership
     _write_json(cfg.out / "quantization.json", report)
     return 0
 
 
 def _run_test_energy(cfg: ExperimentConfig) -> int:
-    problem = cfg.option("problem", "toda")
-    subsamples = int(cfg.option("subsamples", 8))
+    problem = cfg.option("problem", _one_of("toda", "scalar", "both"), "toda")
+    subsamples = cfg.option("subsamples", int, 8)
     zeta = cfg.join_element()
     jobs = []
     if problem in ("toda", "both"):
@@ -369,8 +377,6 @@ def _run_test_energy(cfg: ExperimentConfig) -> int:
     if problem in ("scalar", "both"):
         jobs.append(("scalar", lambda: scalar_energy_curve(cfg.torus, zeta, cfg.rho,
                                                            cfg.lambdas, cfg.h1, subsamples)))
-    if not jobs:
-        raise ConfigError(f"problem must be 'toda', 'scalar' or 'both', got {problem!r}")
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         curves = [(name, fut.result()) for name, fut in
                   [(name, pool.submit(job)) for name, job in jobs]]
@@ -392,10 +398,10 @@ def _run_test_energy(cfg: ExperimentConfig) -> int:
 
 
 def _run_kr_scaling(cfg: ExperimentConfig) -> int:
-    components = [int(c) for c in cfg.option("components", [1, 2])]
+    components = cfg.option("components", _list_of(int), [1, 2])
     zeta = cfg.join_element()
-    subsamples = int(cfg.option("subsamples", 8))
-    fit_floor = float(cfg.option("fit_floor", 10.0))
+    subsamples = cfg.option("subsamples", int, 8)
+    fit_floor = cfg.option("fit_floor", float, 10.0)
 
     def job(component: int):
         return kr_scaling_check(cfg.torus, zeta, cfg.lambdas, component, cfg.h1, cfg.h2,
@@ -413,10 +419,10 @@ def _run_kr_scaling(cfg: ExperimentConfig) -> int:
 
 
 def _run_projection(cfg: ExperimentConfig) -> int:
+    lam = cfg.option("lam", float, 1000.0)
+    r_values = cfg.option("r_values", _list_of(float), [0.0, 0.5, 1.0])
+    subsamples = cfg.option("subsamples", int, 8)
     validate_singular_clearance(cfg.torus, cfg.singular, cfg.curves)
-    lam = float(cfg.option("lam", 1000.0))
-    r_values = [float(r) for r in cfg.option("r_values", [0.0, 0.5, 1.0])]
-    subsamples = int(cfg.option("subsamples", 8))
     base = cfg.join_element()
 
     def job(r: float):
@@ -441,7 +447,8 @@ def _run_projection(cfg: ExperimentConfig) -> int:
 
 
 def _run_mt_check(cfg: ExperimentConfig) -> int:
-    subsamples = int(cfg.option("subsamples", 8))
+    subsamples = cfg.option("subsamples", int, 8)
+    random_fields = cfg.option("random_fields", int, 5)
     zeta = cfg.join_element()
     pure = JoinElement(zeta.sigma1, zeta.sigma2, 0.0)  # single-family bubble for the ratio
     rows = []
@@ -458,7 +465,7 @@ def _run_mt_check(cfg: ExperimentConfig) -> int:
         rows.append(("system-gap", lam, gap))
     rng = np.random.default_rng(cfg.seed)
     random_ratios = []
-    for index in range(int(cfg.option("random_fields", 5))):
+    for index in range(random_fields):
         u = random_smooth_field(cfg.torus, rng, modes=4, scale=1.5)
         ratio = mt_ratio(u)
         random_ratios.append(ratio)
@@ -478,33 +485,31 @@ def _gate_on_forbidden_set(cfg: ExperimentConfig, problem: str) -> None:
         return
     if problem == "toda":
         verdict = global_membership(cfg.rho, cfg.singular, cfg.tol)
-        if verdict.inside:
-            raise ValueError(
-                f"rho = ({cfg.rho.rho1:.6f}, {cfg.rho.rho2:.6f}) lies within "
-                f"{cfg.tol} of the forbidden set (witness: {verdict.witness})")
-    elif scalar_forbidden(cfg.rho, cfg.tol):
-        raise ValueError(
-            f"rho = ({cfg.rho.rho1:.6f}, {cfg.rho.rho2:.6f}) lies within "
-            f"{cfg.tol} of a multiple of 8 pi")
+        inside, near = verdict.inside, f"the forbidden set (witness: {verdict.witness})"
+    else:
+        inside, near = scalar_forbidden(cfg.rho, cfg.tol), "a multiple of 8 pi"
+    if inside:
+        raise ValueError(f"rho = ({cfg.rho.rho1:.6f}, {cfg.rho.rho2:.6f}) lies within "
+                         f"{cfg.tol} of {near}")
 
 
 def _problem_and_weights(cfg: ExperimentConfig) -> tuple[str, object]:
     """The configured problem name and the weights its solver takes."""
-    problem = cfg.option("problem", "toda")
-    if problem not in ("toda", "meanfield"):
-        raise ConfigError(f"problem must be 'toda' or 'meanfield', got {problem!r}")
+    problem = cfg.option("problem", _one_of("toda", "meanfield"), "toda")
     return problem, ((cfg.h1, cfg.h2) if problem == "toda" else cfg.h1)
 
 
 def _run_solve(cfg: ExperimentConfig) -> int:
     problem, weights = _problem_and_weights(cfg)
-    _gate_on_forbidden_set(cfg, problem)
+    centers = [Point(*p) for p in cfg.option("mass_centers", _list_of(_pair), [])]
+    radius = cfg.option("mass_radius", float, 5.0 * cfg.torus.max_spacing)
     names = ("u1", "u2") if problem == "toda" else ("u",)
     initial = None
-    if cfg.option("initial", "zero") == "random":
+    if cfg.option("initial", _one_of("zero", "random"), "zero") == "random":
         rng = np.random.default_rng(cfg.seed)
         initial = tuple(random_smooth_field(cfg.torus, rng, modes=4, scale=0.5)
                         for _ in names)
+    _gate_on_forbidden_set(cfg, problem)
     result = minimize(problem, weights, cfg.rho, cfg.singular, cfg.solver, initial)
     residual = pde_residual(result.u, weights, cfg.rho, cfg.singular)
     for name, component in zip(names, result.u):
@@ -520,9 +525,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         "coercive": result.coercive,
         "pde_residual": residual,
     }
-    centers = [Point(float(p[0]), float(p[1])) for p in cfg.option("mass_centers", [])]
     if centers:
-        radius = float(cfg.option("mass_radius", 5.0 * cfg.torus.max_spacing))
         masses = blowup_masses(result.u, weights, cfg.rho, centers, radius, cfg.singular)
         report["mass_report"] = [{
             "center": [m.center.x1, m.center.x2],
@@ -536,8 +539,8 @@ def _run_solve(cfg: ExperimentConfig) -> int:
 
 def _run_continuation(cfg: ExperimentConfig) -> int:
     problem, weights = _problem_and_weights(cfg)
-    nu = float(cfg.option("nu", 0.5))
-    steps = int(cfg.option("steps", 5))
+    nu = cfg.option("nu", float, 0.5)
+    steps = cfg.option("steps", int, 5)
     results = continuation_sweep(problem, cfg.rho, nu, steps, weights, cfg.singular,
                                  cfg.solver)
     mus = np.linspace(-nu, nu, steps)
@@ -579,7 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Variational experiments on the flat torus: energies on bubble "
                     "families, transport projections, quantization tables, solves.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", default="out", help="output directory")
@@ -590,13 +593,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = ExperimentConfig.load(args.config, args.out, args.seed, args.threads,
-                                    args.tol)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(args.subcommand, cfg)
+        return run(args.subcommand, ExperimentConfig.load(
+            args.config, args.out, args.seed, args.threads, args.tol))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -45,8 +45,6 @@ def gamma_residual(s1: float, s2: float, alpha1: float, alpha2: float) -> float:
 class LocalSet:
     """The finite quantization set for one pair of weights, sorted lexicographically."""
 
-    alpha1: float
-    alpha2: float
     points: tuple[tuple[float, float], ...]
 
     def nonzero_points(self) -> tuple[tuple[float, float], ...]:
@@ -130,7 +128,7 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
                 if c >= a - DEDUP_TOLERANCE and add((c, d)):
                     queue.append((c, d))
             m += 1
-    return LocalSet(alpha1, alpha2, tuple(sorted((float(a), float(b)) for a, b in points)))
+    return LocalSet(tuple(sorted((float(a), float(b)) for a, b in points)))
 
 
 # ----- global set -------------------------------------------------------------
@@ -140,8 +138,6 @@ class GlobalSet:
     """Finite enumeration of the forbidden set inside a box: isolated points
     (lambda0) plus vertical/horizontal line abscissas (lambda1, lambda2)."""
 
-    singular: SingularData
-    box: tuple[float, float]
     lambda0: tuple[tuple[float, float], ...]
     lambda1: tuple[float, ...]
     lambda2: tuple[float, ...]
@@ -229,7 +225,7 @@ def global_lambda(singular: SingularData, box: tuple[float, float]) -> GlobalSet
     codes = np.unique(code1[which, i] * len(values2) + code2[which, j])
     lambda0 = tuple(zip(values1[codes // len(values2)].tolist(),
                         values2[codes % len(values2)].tolist()))
-    return GlobalSet(singular, box, lambda0, lambda1, lambda2)
+    return GlobalSet(lambda0, lambda1, lambda2)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,33 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {**SMALL_GRID, **bad})
         assert main(["quantization", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("subcommand, bad, named", (
+        ("projection", {"grid": 5}, "grid"),
+        ("solve", {"solver": [1]}, "solver"),
+        ("quantization", {"singular": 3}, "singular"),
+        ("solve", {"h": 5}, "h"),
+        ("projection", {"subsamples": "x"}, "subsamples"),
+        ("projection", {"r_values": 5}, "r_values"),
+        ("continuation", {"steps": "x"}, "steps"),
+        ("quantization", {"box": 5}, "box"),
+        ("quantization", {"alpha": [1]}, "singular"),
+        ("quantization", {"rho_samples": [[1]]}, "rho_samples"),
+        ("solve", {"mass_centers": [[0.1]]}, "mass_centers"),
+        ("kr-scaling", {"components": "ab"}, "components"),
+        ("solve", {"initial": "randm"}, "initial"),
+        ("test-energy", {"lambdas": {"start": 10.0, "stop": 1000.0, "count": 4,
+                                     "spacing": "logarithmic"}}, "spacing"),
+    ), ids=("grid-number", "solver-list", "singular-number", "h-number", "subsamples-text",
+            "r-values-number", "steps-text", "box-number", "alpha-retired", "rho-sample-single",
+            "mass-center-single", "components-text", "initial-typo", "spacing-typo"))
+    def test_malformed_value_exits_2_with_one_line(self, tmp_path, capsys, subcommand, bad,
+                                                   named):
+        cfg = write_config(tmp_path, {**SMALL_GRID, **bad})
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(named) in err
+
     def test_cli_seed_overrides_config(self, tmp_path):
         cfg = ExperimentConfig.load(write_config(tmp_path, {"seed": 3}),
                                     str(tmp_path / "out"), 5, None, None)
