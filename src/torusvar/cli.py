@@ -113,17 +113,17 @@ def h_profile(torus: FlatTorus, config: dict) -> GridField:
     """Named weight profiles: `constant`, `sin-bump`, `gauss-bump` (periodicized)."""
     profile = config.get("profile", "constant")
     if profile == "constant":
-        return torus.constant_field(_expect(config, "value", float, 1.0))
+        return torus.constant_field(_expect(config, "value", _real, 1.0))
     if profile == "sin-bump":
-        a = _expect(config, "amplitude", float, 0.3)
+        a = _expect(config, "amplitude", _real, 0.3)
         if not -1.0 < a < 1.0:
             raise ConfigError(f"sin-bump amplitude must lie in (-1, 1), got {a}")
         x1, x2 = torus.grids()
         return torus.field(1.0 + a * np.sin(2.0 * np.pi * x1 / torus.L1)
                            * np.sin(2.0 * np.pi * x2 / torus.L2))
     if profile == "gauss-bump":
-        a = _expect(config, "amplitude", float, 0.5)
-        w = _expect(config, "width", float, 0.1)
+        a = _expect(config, "amplitude", _real, 0.5)
+        w = _expect(config, "width", _real, 0.1)
         cx, cy = _expect(config, "center", _pair, (0.5, 0.5))
         if a <= -1.0 or w <= 0.0:
             raise ConfigError("gauss-bump needs amplitude > -1 and width > 0")
@@ -161,8 +161,22 @@ def _list_of(kind):
     return convert
 
 
+def _real(value) -> float:
+    """A JSON number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    """An integral JSON number: 3 or 3.0, but not 3.9 or true."""
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _pair(value) -> tuple[float, float]:
-    x, y = _list_of(float)(value)
+    x, y = _list_of(_real)(value)
     return x, y
 
 
@@ -177,11 +191,11 @@ def _one_of(*names):
 def _lambda_grid(config) -> list[float]:
     """An explicit list, or `start`/`stop`/`count` with `spacing` "log" or "linear"."""
     if not isinstance(config, dict):
-        return _list_of(float)(config)
+        return _list_of(_real)(config)
     spacing = _expect(config, "spacing", _one_of("log", "linear"), "log")
     return list((np.geomspace if spacing == "log" else np.linspace)(
-        _expect(config, "start", float, 10.0), _expect(config, "stop", float, 1000.0),
-        _expect(config, "count", int, 9)))
+        _expect(config, "start", _real, 10.0), _expect(config, "stop", _real, 1000.0),
+        _expect(config, "count", _count, 9)))
 
 
 @dataclass(frozen=True)
@@ -222,23 +236,23 @@ class ExperimentConfig:
         h_config = _expect(raw, "h", _section, {"profile": "constant"})
         h2_config = _expect(raw, "h2", _section, h_config)
         try:
-            torus = FlatTorus(_expect(grid, "n", int, 64),
+            torus = FlatTorus(_expect(grid, "n", _count, 64),
                               *_expect(grid, "periods", _pair, (1.0, 1.0)))
-            curves = CurveSystem(_expect(curves_raw, "c1", float, 0.25),
-                                 _expect(curves_raw, "c2", float, 0.75))
+            curves = CurveSystem(_expect(curves_raw, "c1", _real, 0.25),
+                                 _expect(curves_raw, "c2", _real, 0.75))
             singular = SingularData.of(_expect(singular_raw, "points", _list_of(_pair), []),
-                                       _expect(singular_raw, "alpha1", _list_of(float), []),
-                                       _expect(singular_raw, "alpha2", _list_of(float), []), torus)
+                                       _expect(singular_raw, "alpha1", _list_of(_real), []),
+                                       _expect(singular_raw, "alpha2", _list_of(_real), []), torus)
             solver = SolverConfig(
-                max_iterations=_expect(solver_raw, "max_iterations", int, 2000),
-                gradient_tolerance=_expect(solver_raw, "gradient_tolerance", float, 1e-8))
+                max_iterations=_expect(solver_raw, "max_iterations", _count, 2000),
+                gradient_tolerance=_expect(solver_raw, "gradient_tolerance", _real, 1e-8))
             h1, h2 = h_profile(torus, h_config), h_profile(torus, h2_config)
             rho = RhoPair(*_expect(raw, "rho", _pair, (2.0 * np.pi, 2.0 * np.pi)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         lambdas = tuple(_expect(raw, "lambdas", _lambda_grid, {}))
         if tol is None and raw.get("tol") is not None:
-            tol = _expect(raw, "tol", float, None)
+            tol = _expect(raw, "tol", _real, None)
 
         resolved = {
             "grid": {"n": torus.n, "periods": [torus.L1, torus.L2]},
@@ -248,12 +262,12 @@ class ExperimentConfig:
             "h": h_config, "h2": h2_config,
             "rho": [rho.rho1, rho.rho2],
             "lambdas": list(lambdas),
-            "k": _expect(raw, "k", int, 1), "l": _expect(raw, "l", int, 1),
-            "r": _expect(raw, "r", float, 0.5),
+            "k": _expect(raw, "k", _count, 1), "l": _expect(raw, "l", _count, 1),
+            "r": _expect(raw, "r", _real, 0.5),
             "solver": {"max_iterations": solver.max_iterations,
                        "gradient_tolerance": solver.gradient_tolerance},
-            "seed": seed if seed is not None else _expect(raw, "seed", int, 0),
-            "threads": threads if threads is not None else _expect(raw, "threads", int, 1),
+            "seed": seed if seed is not None else _expect(raw, "seed", _count, 0),
+            "threads": threads if threads is not None else _expect(raw, "threads", _count, 1),
             "tol": tol,
         }
         for key in ("problem", "initial", "components", "r_values", "lam", "box", "rho_samples",
@@ -291,24 +305,9 @@ class ExperimentConfig:
 
 # ----- serialization helpers ------------------------------------------------------
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=lambda v: v.tolist()) + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -350,9 +349,9 @@ def _run_quantization(cfg: ExperimentConfig) -> int:
         "candidates": blowup_candidates(cfg.singular),
         "global": {
             "box": box,
-            "lambda1": sorted(gs.lambda1),
-            "lambda2": sorted(gs.lambda2),
-            "lambda0": sorted(gs.lambda0),
+            "lambda1": gs.lambda1,
+            "lambda2": gs.lambda2,
+            "lambda0": gs.lambda0,
         },
     }
     membership = []
@@ -368,7 +367,7 @@ def _run_quantization(cfg: ExperimentConfig) -> int:
 
 def _run_test_energy(cfg: ExperimentConfig) -> int:
     problem = cfg.option("problem", _one_of("toda", "scalar", "both"), "toda")
-    subsamples = cfg.option("subsamples", int, 8)
+    subsamples = cfg.option("subsamples", _count, 8)
     zeta = cfg.join_element()
     jobs = []
     if problem in ("toda", "both"):
@@ -398,10 +397,10 @@ def _run_test_energy(cfg: ExperimentConfig) -> int:
 
 
 def _run_kr_scaling(cfg: ExperimentConfig) -> int:
-    components = cfg.option("components", _list_of(int), [1, 2])
+    components = cfg.option("components", _list_of(_count), [1, 2])
     zeta = cfg.join_element()
-    subsamples = cfg.option("subsamples", int, 8)
-    fit_floor = cfg.option("fit_floor", float, 10.0)
+    subsamples = cfg.option("subsamples", _count, 8)
+    fit_floor = cfg.option("fit_floor", _real, 10.0)
 
     def job(component: int):
         return kr_scaling_check(cfg.torus, zeta, cfg.lambdas, component, cfg.h1, cfg.h2,
@@ -419,9 +418,9 @@ def _run_kr_scaling(cfg: ExperimentConfig) -> int:
 
 
 def _run_projection(cfg: ExperimentConfig) -> int:
-    lam = cfg.option("lam", float, 1000.0)
-    r_values = cfg.option("r_values", _list_of(float), [0.0, 0.5, 1.0])
-    subsamples = cfg.option("subsamples", int, 8)
+    lam = cfg.option("lam", _real, 1000.0)
+    r_values = cfg.option("r_values", _list_of(_real), [0.0, 0.5, 1.0])
+    subsamples = cfg.option("subsamples", _count, 8)
     validate_singular_clearance(cfg.torus, cfg.singular, cfg.curves)
     base = cfg.join_element()
 
@@ -447,8 +446,8 @@ def _run_projection(cfg: ExperimentConfig) -> int:
 
 
 def _run_mt_check(cfg: ExperimentConfig) -> int:
-    subsamples = cfg.option("subsamples", int, 8)
-    random_fields = cfg.option("random_fields", int, 5)
+    subsamples = cfg.option("subsamples", _count, 8)
+    random_fields = cfg.option("random_fields", _count, 5)
     zeta = cfg.join_element()
     pure = JoinElement(zeta.sigma1, zeta.sigma2, 0.0)  # single-family bubble for the ratio
     rows = []
@@ -502,7 +501,7 @@ def _problem_and_weights(cfg: ExperimentConfig) -> tuple[str, object]:
 def _run_solve(cfg: ExperimentConfig) -> int:
     problem, weights = _problem_and_weights(cfg)
     centers = [Point(*p) for p in cfg.option("mass_centers", _list_of(_pair), [])]
-    radius = cfg.option("mass_radius", float, 5.0 * cfg.torus.max_spacing)
+    radius = cfg.option("mass_radius", _real, 5.0 * cfg.torus.max_spacing)
     names = ("u1", "u2") if problem == "toda" else ("u",)
     initial = None
     if cfg.option("initial", _one_of("zero", "random"), "zero") == "random":
@@ -539,8 +538,8 @@ def _run_solve(cfg: ExperimentConfig) -> int:
 
 def _run_continuation(cfg: ExperimentConfig) -> int:
     problem, weights = _problem_and_weights(cfg)
-    nu = cfg.option("nu", float, 0.5)
-    steps = cfg.option("steps", int, 5)
+    nu = cfg.option("nu", _real, 0.5)
+    steps = cfg.option("steps", _count, 5)
     results = continuation_sweep(problem, cfg.rho, nu, steps, weights, cfg.singular,
                                  cfg.solver)
     mus = np.linspace(-nu, nu, steps)

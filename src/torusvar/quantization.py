@@ -13,11 +13,12 @@ Both quadratic roots are kept when admissible, and the bounded ellipse makes
 the closure terminate.
 
 The global forbidden set combines local sets over the marked points with
-integer 4-pi lattices per component.  A membership query enumerates it in
-the box reaching 4 pi past the queried pair and returns the nearest element
-as a witness.  No element outside that box can be the nearest one: some 4-pi
-line lies within 2 pi of every non-negative coordinate, while every element
-outside the box is more than 4 pi away.
+integer 4-pi lattices per component; `global_window` lists it inside a
+window, merging values within DEDUP_TOLERANCE into tolerance classes.  A
+membership query lists the window reaching 4 pi around the queried pair and
+returns the nearest element as a witness.  No element outside that window can
+be the nearest one: some 4-pi line lies within 2 pi of every non-negative
+coordinate, while every element outside the window is more than 4 pi away.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .geometry import SingularData
 
 DEDUP_TOLERANCE = 1e-9
 ON_CURVE_TOLERANCE = 1e-12
+# sums of local points closer than this differ by round-off only (one sum added
+# up in two orders); merging them bounds the work and moves no reported value
+ROUND_OFF = 1e-12
 
 
 def gamma_residual(s1: float, s2: float, alpha1: float, alpha2: float) -> float:
@@ -133,99 +137,100 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
 
 # ----- global set -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: compare them with numpy
 class GlobalSet:
-    """Finite enumeration of the forbidden set inside a box: isolated points
-    (lambda0) plus vertical/horizontal line abscissas (lambda1, lambda2)."""
+    """Finite enumeration of the forbidden set inside a window: isolated points
+    (lambda0, shape (N, 2), in lexicographic order) plus sorted vertical and
+    horizontal line abscissas (lambda1, lambda2)."""
 
-    lambda0: tuple[tuple[float, float], ...]
-    lambda1: tuple[float, ...]
-    lambda2: tuple[float, ...]
+    lambda0: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
 
 
-def _axis_values(alphas: tuple[float, ...], limit: float) -> tuple[float, ...]:
-    """All values 4 pi (n + sum_j (1 + alpha_j) n_j) up to `limit`.  Offsets
-    only grow, so those past the limit are dropped as each weight is added."""
+def _classes(values: np.ndarray,
+             tolerance: float = DEDUP_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """Tolerance classes of `values`: in sorted order a class starts at its
+    lowest value and takes every value within `tolerance` of it.  Returns each
+    class's lowest value, in order, and for every entry the index of its class."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.diff(ordered, prepend=-np.inf) > tolerance
+    while True:  # a run of close neighbours can outgrow the tolerance: split it
+        lowest = ordered[np.maximum.accumulate(np.where(starts, np.arange(len(ordered)), 0))]
+        late = ordered - lowest > tolerance
+        if not late.any():
+            break
+        starts |= late & ~np.roll(late, 1)
+    codes = np.empty(len(values), dtype=np.intp)
+    codes[order] = np.cumsum(starts) - 1
+    return ordered[starts], codes
+
+
+def _printed(values: np.ndarray) -> np.ndarray:
+    """Class values as reported: Python's `round(v, 12)` of each."""
+    return np.array([round(v, 12) for v in values.tolist()])
+
+
+def _lattice(shifts: np.ndarray, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values 2 pi (2 p + s), p >= 0, for every shift s, as one row per shift
+    with a mask of those inside [low, high]."""
+    two_pi = 2.0 * np.pi
+    first = np.maximum(0.0, np.floor((low / two_pi - shifts) / 2.0))
+    p = first[:, None] + np.arange(int(max(high - low, 0.0) / (4.0 * np.pi)) + 2)
+    values = two_pi * (2 * p + shifts[:, None])
+    return values, (values >= low) & (values <= high)
+
+
+def _axis_values(alphas: tuple[float, ...], limit: float) -> np.ndarray:
+    """All values 4 pi (n + sum_j (1 + alpha_j) n_j) up to `limit`, one per
+    tolerance class.  Offsets only grow, so those past the limit are dropped as
+    each weight is added."""
     offsets = {0.0}
     for a in alphas:
         grown = {off + (1.0 + a) for off in offsets}
         offsets |= {off for off in grown if 4.0 * np.pi * off <= limit}
-    values = set()
-    for off in offsets:
-        n = 0
-        while True:
-            v = 4.0 * np.pi * (n + off)
-            if v > limit:
-                break
-            values.add(round(v, 12))
-            n += 1
-    return tuple(sorted(values))
+    values, inside = _lattice(2.0 * np.array(sorted(offsets)), 0.0, limit)
+    return _printed(_classes(values[inside])[0])
 
 
-def _rounded(values: np.ndarray, digits: int) -> np.ndarray:
-    """`round(v, digits)` of every entry, rounding as Python rounds a float: to
-    the exactly nearest decimal.  Scaling by 10**digits first, as `np.round`
-    does, agrees unless the scaled value lies within rounding error of a
-    half-way point; those few entries are rounded one by one."""
-    scale = 10.0 ** digits
-    scaled = values * scale
-    out = np.rint(scaled) / scale
-    near = np.abs(scaled - np.floor(scaled) - 0.5) <= np.spacing(np.abs(scaled))
-    out[near] = [round(v, digits) for v in values[near].tolist()]
-    return out
-
-
-def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values and, for every entry, the index of its value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return distinct, inverse.reshape(values.shape)
-
-
-def _merge_shifts(grown: np.ndarray) -> np.ndarray:
-    """Merge shifts that agree to 9 digits.  Each survivor keeps the position
-    of the first shift of its class and the value of the last one, as a dict
-    keyed by the rounded pair does; the next step grows them in that order."""
-    keys = _rounded(grown, 9)
-    _, code1 = _codes(keys[:, 0])
-    distinct2, code2 = _codes(keys[:, 1])
-    codes = code1 * len(distinct2) + code2
-    _, first = np.unique(codes, return_index=True)
-    _, last_reversed = np.unique(codes[::-1], return_index=True)
-    last = len(codes) - 1 - last_reversed
-    return grown[last[np.argsort(first)]]
-
-
-def global_lambda(singular: SingularData, box: tuple[float, float]) -> GlobalSet:
-    """Enumerate the forbidden set inside [0, box1] x [0, box2] (+4 pi padding).
+def global_window(singular: SingularData, low: tuple[float, float],
+                  high: tuple[float, float]) -> GlobalSet:
+    """Enumerate the forbidden set inside [low1, high1] x [low2, high2].
 
     Every local point lies in the closed positive quadrant, so a sum of local
     points (a shift) only grows as marked points are added.  Shifts past the
-    padded box are dropped after each marked point, which bounds the work by
-    the box instead of the number of marked points."""
-    two_pi = 2.0 * np.pi
-    lim1, lim2 = box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi
-    lambda1 = _axis_values(singular.alpha1, lim1)
-    lambda2 = _axis_values(singular.alpha2, lim2)
+    window are dropped after each marked point, which bounds the work by the
+    window instead of the number of marked points.  A point is one pair of
+    classes, and a class is listed at its lowest value rounded to 12 digits,
+    so no two listed elements lie within DEDUP_TOLERANCE of each other."""
+    lines1 = _axis_values(singular.alpha1, high[0])
+    lines2 = _axis_values(singular.alpha2, high[1])
 
     shifts = np.zeros((1, 2))
     for a1, a2 in zip(singular.alpha1, singular.alpha2):
         # row 0: this marked point contributes nothing
         steps = np.vstack([np.zeros((1, 2)), np.array(local_lambda(a1, a2).points)])
         grown = (shifts[:, None, :] + steps[None, :, :]).reshape(-1, 2)
-        shifts = _merge_shifts(grown[np.all(two_pi * grown <= (lim1, lim2), axis=1)])
+        grown = grown[np.all(2.0 * np.pi * grown <= high, axis=1)]
+        (x, cx), (y, cy) = _classes(grown[:, 0], ROUND_OFF), _classes(grown[:, 1], ROUND_OFF)
+        pairs = np.unique(cx * len(y) + cy)
+        shifts = np.column_stack((x[pairs // len(y)], y[pairs % len(y)]))
 
-    # 4-pi lattice over each shift: coordinate 2 pi (2 p + s), p >= 0, up to the limit
-    def lattice(s: np.ndarray, limit: float) -> np.ndarray:
-        return two_pi * (2 * np.arange(int(limit / (4.0 * np.pi)) + 2)[None, :] + s[:, None])
+    xs, x_in = _lattice(shifts[:, 0], low[0], high[0])
+    ys, y_in = _lattice(shifts[:, 1], low[1], high[1])
+    cx, cy = np.zeros(xs.shape, dtype=np.intp), np.zeros(ys.shape, dtype=np.intp)
+    x, cx[x_in] = _classes(xs[x_in])
+    y, cy[y_in] = _classes(ys[y_in])
+    which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
+    pairs = np.unique(cx[which, i] * len(y) + cy[which, j])
+    lambda0 = np.column_stack((_printed(x)[pairs // len(y)], _printed(y)[pairs % len(y)]))
+    return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
 
-    xs, ys = lattice(shifts[:, 0], lim1), lattice(shifts[:, 1], lim2)
-    values1, code1 = _codes(_rounded(xs, 12))
-    values2, code2 = _codes(_rounded(ys, 12))
-    which, i, j = np.nonzero((xs <= lim1)[:, :, None] & (ys <= lim2)[:, None, :])
-    codes = np.unique(code1[which, i] * len(values2) + code2[which, j])
-    lambda0 = tuple(zip(values1[codes // len(values2)].tolist(),
-                        values2[codes % len(values2)].tolist()))
-    return GlobalSet(lambda0, lambda1, lambda2)
+
+def global_lambda(singular: SingularData, box: tuple[float, float]) -> GlobalSet:
+    """Enumerate the forbidden set inside [0, box1] x [0, box2] (+4 pi padding)."""
+    return global_window(singular, (0.0, 0.0), (box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -241,19 +246,21 @@ def global_membership(rho: RhoPair, singular: SingularData, tol: float) -> Membe
     Ties go to the first element of lambda1, then lambda2, then lambda0."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    gs = global_lambda(singular, (rho.rho1, rho.rho2))
-    points = np.array(gs.lambda0).reshape(-1, 2)
+    reach = 4.0 * np.pi
+    gs = global_window(singular, (rho.rho1 - reach, rho.rho2 - reach),
+                       (rho.rho1 + reach, rho.rho2 + reach))
     families = (
-        ("lambda1-line", [(v,) for v in gs.lambda1], np.abs(rho.rho1 - np.array(gs.lambda1))),
-        ("lambda2-line", [(v,) for v in gs.lambda2], np.abs(rho.rho2 - np.array(gs.lambda2))),
-        ("lambda0-point", gs.lambda0, np.hypot(rho.rho1 - points[:, 0], rho.rho2 - points[:, 1])),
+        ("lambda1-line", gs.lambda1[:, None], np.abs(rho.rho1 - gs.lambda1)),
+        ("lambda2-line", gs.lambda2[:, None], np.abs(rho.rho2 - gs.lambda2)),
+        ("lambda0-point", gs.lambda0,
+         np.hypot(rho.rho1 - gs.lambda0[:, 0], rho.rho2 - gs.lambda0[:, 1])),
     )
     best = (np.inf, ("none", ()))
     for kind, elements, distances in families:
         if len(elements):
             k = int(np.argmin(distances))
             if distances[k] < best[0]:
-                best = (float(distances[k]), (kind, elements[k]))
+                best = (float(distances[k]), (kind, tuple(elements[k].tolist())))
     return MembershipReport(best[0] <= tol, best[0], best[1])
 
 

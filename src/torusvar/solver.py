@@ -51,7 +51,13 @@ from .geometry import (
     spectral_inner,
     to_spectrum,
 )
-from .quantization import blowup_candidates, global_lambda, nearest_scalar_line, scalar_blowup_value
+from .quantization import (
+    DEDUP_TOLERANCE,
+    blowup_candidates,
+    global_window,
+    nearest_scalar_line,
+    scalar_blowup_value,
+)
 
 
 # Hessian-vector products per Newton step at most (the inner CG cap)
@@ -240,19 +246,22 @@ def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
                     f"continuation box hits the scalar forbidden line {n}*8pi"
                     f" = {n * 8.0 * np.pi:.6f} in the {label} coordinate")
         return
-    gs = global_lambda(singular, (r1 + 2.0 * nu, r2 + 2.0 * nu))
-    crossed1 = np.flatnonzero(np.abs(r1 - np.array(gs.lambda1)) <= 2.0 * nu)
+    reach = 2.0 * nu
+    # the tests below read reported, rounded values: reach past round-off
+    pad = reach + DEDUP_TOLERANCE
+    gs = global_window(singular, (r1 - pad, r2 - pad), (r1 + pad, r2 + pad))
+    crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= reach)
     if crossed1.size:
         raise ValueError("continuation box crosses the vertical line rho1 = "
                          f"{gs.lambda1[crossed1[0]]:.6f}")
-    crossed2 = np.flatnonzero(np.abs(r2 - np.array(gs.lambda2)) <= 2.0 * nu)
+    crossed2 = np.flatnonzero(np.abs(r2 - gs.lambda2) <= reach)
     if crossed2.size:
         raise ValueError("continuation box crosses the horizontal line rho2 = "
                          f"{gs.lambda2[crossed2[0]]:.6f}")
-    gaps = np.abs(np.array([r1, r2]) - np.array(gs.lambda0).reshape(-1, 2))
-    contained = np.flatnonzero(np.all(gaps <= 2.0 * nu, axis=1))
+    contained = np.flatnonzero(np.all(np.abs((r1, r2) - gs.lambda0) <= reach, axis=1))
     if contained.size:
-        raise ValueError(f"continuation box contains the forbidden point {gs.lambda0[contained[0]]}")
+        raise ValueError("continuation box contains the forbidden point "
+                         f"{tuple(gs.lambda0[contained[0]].tolist())}")
 
 
 def continuation_sweep(problem: str, rho_center: RhoPair, nu: float, steps: int,

@@ -123,9 +123,14 @@ class TestConfigValidation:
         ("solve", {"initial": "randm"}, "initial"),
         ("test-energy", {"lambdas": {"start": 10.0, "stop": 1000.0, "count": 4,
                                      "spacing": "logarithmic"}}, "spacing"),
+        ("continuation", {"steps": 3.9}, "steps"),
+        ("test-energy", {"k": True}, "k"),
+        ("solve", {"grid": {"n": 32.7}}, "n"),
+        ("continuation", {"nu": True}, "nu"),
     ), ids=("grid-number", "solver-list", "singular-number", "h-number", "subsamples-text",
             "r-values-number", "steps-text", "box-number", "alpha-retired", "rho-sample-single",
-            "mass-center-single", "components-text", "initial-typo", "spacing-typo"))
+            "mass-center-single", "components-text", "initial-typo", "spacing-typo",
+            "steps-fraction", "k-boolean", "n-fraction", "nu-boolean"))
     def test_malformed_value_exits_2_with_one_line(self, tmp_path, capsys, subcommand, bad,
                                                    named):
         cfg = write_config(tmp_path, {**SMALL_GRID, **bad})

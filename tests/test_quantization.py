@@ -6,11 +6,13 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from torusvar.functionals import RhoPair
 from torusvar.geometry import FlatTorus, Point, SingularData
 import torusvar.quantization
 from torusvar.quantization import (
+    DEDUP_TOLERANCE,
     blowup_candidates,
     gamma_residual,
     global_lambda,
@@ -19,6 +21,7 @@ from torusvar.quantization import (
     scalar_blowup_value,
     scalar_forbidden,
 )
+from torusvar.solver import check_continuation_box
 
 BASE_SET = {(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 4.0), (4.0, 2.0), (4.0, 4.0)}
 
@@ -216,7 +219,8 @@ def unpruned_global_lambda(singular, box):
         for s1, s2 in base_shifts:
             grown.append((s1, s2))  # this marked point contributes nothing
             grown.extend((s1 + p1, s2 + p2) for p1, p2 in pts)
-        seen = {(round(s1, 9), round(s2, 9)): (s1, s2) for s1, s2 in grown}
+        # merge round-off only: shifts 1e-9 apart give points 2 pi 1e-9 apart
+        seen = {(round(s1, 12), round(s2, 12)): (s1, s2) for s1, s2 in grown}
         base_shifts = list(seen.values())
 
     points = set()
@@ -232,11 +236,52 @@ def unpruned_global_lambda(singular, box):
     return tuple(sorted(points)), lambda1, lambda2
 
 
+def covers(listed, points):
+    """Whether every one of `points` lies within DEDUP_TOLERANCE (max norm) of
+    one of `listed`."""
+    return not len(points) or cKDTree(listed).query(points, p=np.inf)[0].max() <= DEDUP_TOLERANCE
+
+
 def marked(weights):
     """SingularData with one marked point per (alpha1, alpha2) pair."""
     return SingularData.of([(0.05 + 0.1 * i, 0.3) for i in range(len(weights))],
                            [a1 for a1, _ in weights], [a2 for _, a2 in weights],
                            FlatTorus(32))
+
+
+def nearest_element(gs, rho):
+    """Distance from rho to the nearest element of an enumerated set and that
+    element; ties go to the first line of lambda1, then lambda2, then lambda0."""
+    best = (np.inf, ("none", ()))
+    for kind, elements, distances in (
+            ("lambda1-line", gs.lambda1[:, None], np.abs(rho.rho1 - gs.lambda1)),
+            ("lambda2-line", gs.lambda2[:, None], np.abs(rho.rho2 - gs.lambda2)),
+            ("lambda0-point", gs.lambda0, np.hypot(rho.rho1 - gs.lambda0[:, 0],
+                                                   rho.rho2 - gs.lambda0[:, 1]))):
+        if len(elements):
+            k = int(np.argmin(distances))
+            if distances[k] < best[0]:
+                best = (float(distances[k]), (kind, tuple(elements[k].tolist())))
+    return best
+
+
+def filtered_box_message(center, nu, singular):
+    """Reference: the continuation check as a filter over the whole set
+    enumerated up to the 2-nu box, with the check's messages."""
+    r1, r2 = center.rho1, center.rho2
+    gs = global_lambda(singular, (r1 + 2.0 * nu, r2 + 2.0 * nu))
+    crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= 2.0 * nu)
+    if crossed1.size:
+        return f"continuation box crosses the vertical line rho1 = {gs.lambda1[crossed1[0]]:.6f}"
+    crossed2 = np.flatnonzero(np.abs(r2 - gs.lambda2) <= 2.0 * nu)
+    if crossed2.size:
+        return ("continuation box crosses the horizontal line rho2 = "
+                f"{gs.lambda2[crossed2[0]]:.6f}")
+    contained = np.flatnonzero(np.all(np.abs((r1, r2) - gs.lambda0) <= 2.0 * nu, axis=1))
+    if contained.size:
+        return ("continuation box contains the forbidden point "
+                f"{tuple(gs.lambda0[contained[0]].tolist())}")
+    return None
 
 
 WEIGHTS = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
@@ -253,10 +298,17 @@ class TestPrunedEnumeration:
         singular = marked(weights)
         got = global_lambda(singular, box)
         ref0, ref1, ref2 = unpruned_global_lambda(singular, box)
-        for mine, theirs in ((got.lambda0, ref0), (got.lambda1, ref1), (got.lambda2, ref2)):
-            assert len(mine) == len(theirs)
-            if theirs:
-                assert np.abs(np.array(mine) - np.array(theirs)).max() <= 1e-9
+        lim1, lim2 = box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi
+        for mine, theirs, edge in ((got.lambda0, ref0, (lim1, lim2)),
+                                   (got.lambda1, ref1, (lim1,)), (got.lambda2, ref2, (lim2,))):
+            # the reference lists a value twice when two computations of it round apart
+            mine, theirs = np.reshape(mine, (-1, len(edge))), np.reshape(theirs, (-1, len(edge)))
+            assert not cKDTree(mine).query_pairs(DEDUP_TOLERANCE, p=np.inf)
+            for listed, other in ((theirs, mine), (mine, theirs)):
+                # at the box's far edge, round-off in the last bit decides whether a
+                # value is in, and the reference sums each value in another order
+                assert covers(other, listed[np.all(listed < np.subtract(edge, DEDUP_TOLERANCE),
+                                                   axis=1)])
 
     def test_many_marked_points_stay_bounded(self):
         box = (20 * np.pi, 20 * np.pi)
@@ -270,12 +322,15 @@ class TestPrunedEnumeration:
         # 2**24 weight subsets, of which only the few within the limit are kept
         weights = tuple(float(a) for a in np.sqrt(np.arange(2.0, 26.0)) % 0.5)
         limit = 24 * np.pi
-        few = unpruned_axis_values(weights[:16], limit)
-        assert torusvar.quantization._axis_values(weights[:16], limit) == few
+        few = np.reshape(unpruned_axis_values(weights[:16], limit), (-1, 1))
+        mine = torusvar.quantization._axis_values(weights[:16], limit)[:, None]
+        # subset sums of these weights coincide, and the reference lists a few twice
+        assert covers(mine, few) and covers(few, mine)
+        assert not cKDTree(mine).query_pairs(DEDUP_TOLERANCE)
         t0 = time.perf_counter()
-        lines = torusvar.quantization._axis_values(weights, limit)
+        lines = torusvar.quantization._axis_values(weights, limit)[:, None]
         assert time.perf_counter() - t0 < 1.0
-        assert set(few) < set(lines)
+        assert len(lines) > len(mine) and covers(lines, mine)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(WEIGHTS, max_size=2),
@@ -285,20 +340,42 @@ class TestPrunedEnumeration:
         singular = marked(weights)
         query = RhoPair(*rho)
         report = global_membership(query, singular, 1e-6)
-        enumerate_in_box = torusvar.quantization.global_lambda
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(torusvar.quantization, "global_lambda",
-                          lambda s, box: enumerate_in_box(s, (box[0] + extra, box[1] + extra)))
-            wider = global_membership(query, singular, 1e-6)
-        assert wider == report
+        wider = global_lambda(singular, (query.rho1 + extra, query.rho2 + extra))
+        assert (report.nearest_distance, report.witness) == nearest_element(wider, query)
 
-    @pytest.mark.parametrize("digits", [9, 12])
-    def test_vector_rounding_matches_python_round(self, digits):
-        values = np.random.default_rng(digits).uniform(0.0, 120.0, 20000)
-        halfway = (np.floor(values * 10.0**digits) + 0.5) / 10.0**digits
-        for v in (values, halfway, np.nextafter(halfway, 0.0), np.nextafter(halfway, 200.0)):
-            assert torusvar.quantization._rounded(v, digits).tolist() == \
-                [round(x, digits) for x in v.tolist()]
+    def test_a_run_of_close_values_splits_at_the_tolerance(self):
+        values = np.array([1.8e-9, 0.0, 0.6e-9, 1.2e-9, 5.0])
+        lowest, codes = torusvar.quantization._classes(values)
+        assert lowest.tolist() == [0.0, 1.2e-9, 5.0]
+        assert codes.tolist() == [1, 0, 0, 1, 2]
+
+    def test_lists_no_point_twice(self):
+        # the rounding dedup listed 8,417 points here, two pairs of them 1e-12 apart
+        gs = global_lambda(marked([(0.5, 2.0)] * 2), (32 * np.pi, 32 * np.pi))
+        assert not cKDTree(gs.lambda0).query_pairs(DEDUP_TOLERANCE, p=np.inf)
+
+    def test_membership_far_out_stays_fast(self):
+        # enumerating all of [0, rho + 4 pi]^2 took 14-16 s here on a 2-core Xeon VM
+        singular = marked([(0.5, 2.0)] * 3)
+        t0 = time.perf_counter()
+        report = global_membership(RhoPair(100 * np.pi - 1, 100 * np.pi - 2), singular, 1e-9)
+        assert time.perf_counter() - t0 < 2.0
+        assert report.nearest_distance == pytest.approx(0.03497213320156818, abs=1e-12)
+        assert report.witness == ("lambda0-point", (313.193371915247, 312.151532770782))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(WEIGHTS, max_size=2),
+           st.tuples(st.floats(0.0, 20 * np.pi), st.floats(0.0, 20 * np.pi)),
+           st.floats(0.0, np.pi))
+    def test_continuation_box_matches_a_filter_over_the_padded_set(self, weights, rho, nu):
+        singular = marked(weights)
+        center = RhoPair(*rho)
+        try:
+            check_continuation_box("toda", center, nu, singular)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == filtered_box_message(center, nu, singular)
 
     def test_membership_ties_go_to_the_first_line(self):
         # equidistant from the lines rho1 = 4 pi and rho2 = 4 pi and from no point nearer
