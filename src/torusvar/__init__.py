@@ -65,12 +65,11 @@ from .quantization import (
     LocalSet,
     MembershipReport,
     blowup_candidates,
+    forbidden_window,
     gamma_residual,
     global_lambda,
     global_membership,
     local_lambda,
-    scalar_blowup_value,
-    scalar_forbidden,
 )
 from .solver import (
     MassReport,

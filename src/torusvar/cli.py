@@ -2,11 +2,13 @@
 
 Every subcommand reads a JSON config, writes CSV/JSON data plus a manifest
 (config echo, library versions, seed, thread count) into the output
-directory, and exits 0 on success, 2 on an invalid config (malformed values and
-non-object sections included), 3 on a module precondition failure, and 4 when a
-solve fails to converge.  Data outputs are byte-identical across runs with the
-same config, seed, and thread count; wall-clock timestamps appear only in the
-manifest.
+directory, and exits 0 on success, 2 on an invalid config (malformed values,
+non-object sections and unknown top-level keys included), 3 on a module
+precondition failure, and 4 when a solve fails to converge.  Data outputs are
+byte-identical across runs with the same config and seed; wall-clock
+timestamps appear only in the manifest.  Subcommands run serially: the thread
+count (`--threads` or the `threads` key) must be at least 1 and is echoed in
+the manifest, but has no effect.
 
 Grid fields are stored as flat binary: a 32-byte header (8-byte magic
 ``TORUSFLD``, unsigned 64-bit resolution, two 64-bit periods, all
@@ -22,7 +24,6 @@ import json
 import platform
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,20 +54,8 @@ from .joins import (
     validate_on_curves,
 )
 from .measures import BarycenterMeasure
-from .quantization import (
-    blowup_candidates,
-    global_lambda,
-    global_membership,
-    local_lambda,
-    scalar_forbidden,
-)
-from .solver import (
-    SolverConfig,
-    blowup_masses,
-    continuation_sweep,
-    minimize,
-    pde_residual,
-)
+from .quantization import blowup_candidates, global_lambda, global_membership, local_lambda
+from .solver import SolverConfig, blowup_masses, continuation_sweep, minimize, pde_residual
 
 FIELD_MAGIC = b"TORUSFLD"
 
@@ -198,6 +187,15 @@ def _lambda_grid(config) -> list[float]:
         _expect(config, "count", _count, 9)))
 
 
+# top-level keys only some subcommands read, echoed into the manifest as given
+OPTION_KEYS = ("problem", "initial", "components", "r_values", "lam", "box", "rho_samples",
+               "nu", "steps", "subsamples", "fit_floor", "random_fields", "mass_centers",
+               "mass_radius")
+# keys every run reads, and retired keys that are still accepted and ignored
+KNOWN_KEYS = ("grid", "curves", "singular", "solver", "h", "h2", "rho", "lambdas", "tol",
+              "k", "l", "r", "seed", "threads") + OPTION_KEYS + ("coarse_n",)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs, validated up front and echoed into the manifest."""
@@ -231,6 +229,9 @@ class ExperimentConfig:
 
         if "alpha" in raw:
             raise ConfigError("config key 'alpha' is retired: give 'singular' points instead")
+        unknown = sorted(set(raw) - set(KNOWN_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
         grid, curves_raw, singular_raw, solver_raw = (
             _expect(raw, key, _section, {}) for key in ("grid", "curves", "singular", "solver"))
         h_config = _expect(raw, "h", _section, {"profile": "constant"})
@@ -270,9 +271,7 @@ class ExperimentConfig:
             "threads": threads if threads is not None else _expect(raw, "threads", _count, 1),
             "tol": tol,
         }
-        for key in ("problem", "initial", "components", "r_values", "lam", "box", "rho_samples",
-                    "nu", "steps", "subsamples", "fit_floor", "random_fields", "mass_centers",
-                    "mass_radius"):
+        for key in OPTION_KEYS:
             if key in raw:
                 resolved[key] = raw[key]
         if not 0.0 <= resolved["r"] <= 1.0:
@@ -369,16 +368,13 @@ def _run_test_energy(cfg: ExperimentConfig) -> int:
     problem = cfg.option("problem", _one_of("toda", "scalar", "both"), "toda")
     subsamples = cfg.option("subsamples", _count, 8)
     zeta = cfg.join_element()
-    jobs = []
+    curves = []
     if problem in ("toda", "both"):
-        jobs.append(("toda", lambda: energy_curve(cfg.torus, zeta, cfg.rho, cfg.lambdas,
-                                                  cfg.h1, cfg.h2, subsamples)))
+        curves.append(("toda", energy_curve(cfg.torus, zeta, cfg.rho, cfg.lambdas,
+                                            cfg.h1, cfg.h2, subsamples)))
     if problem in ("scalar", "both"):
-        jobs.append(("scalar", lambda: scalar_energy_curve(cfg.torus, zeta, cfg.rho,
-                                                           cfg.lambdas, cfg.h1, subsamples)))
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        curves = [(name, fut.result()) for name, fut in
-                  [(name, pool.submit(job)) for name, job in jobs]]
+        curves.append(("scalar", scalar_energy_curve(cfg.torus, zeta, cfg.rho,
+                                                     cfg.lambdas, cfg.h1, subsamples)))
     rows = [(name, lam, s1, s2, val) for name, curve in curves
             for lam, s1, s2, val in curve.rows()]
     _write_csv(cfg.out / "energy.csv",
@@ -401,13 +397,9 @@ def _run_kr_scaling(cfg: ExperimentConfig) -> int:
     zeta = cfg.join_element()
     subsamples = cfg.option("subsamples", _count, 8)
     fit_floor = cfg.option("fit_floor", _real, 10.0)
-
-    def job(component: int):
-        return kr_scaling_check(cfg.torus, zeta, cfg.lambdas, component, cfg.h1, cfg.h2,
-                                subsamples=subsamples, fit_floor=fit_floor)
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        curves = list(zip(components, pool.map(job, components)))
+    curves = [(c, kr_scaling_check(cfg.torus, zeta, cfg.lambdas, c, cfg.h1, cfg.h2,
+                                   subsamples=subsamples, fit_floor=fit_floor))
+              for c in components]
     rows = [(c, lam, s1, s2, d) for c, curve in curves
             for lam, s1, s2, d in curve.rows()]
     _write_csv(cfg.out / "kr.csv",
@@ -424,14 +416,12 @@ def _run_projection(cfg: ExperimentConfig) -> int:
     validate_singular_clearance(cfg.torus, cfg.singular, cfg.curves)
     base = cfg.join_element()
 
-    def job(r: float):
+    reports = []
+    for r in r_values:
         zeta = JoinElement(base.sigma1, base.sigma2, r)
         validate_on_curves(zeta, cfg.curves, cfg.torus)
-        return homotopy_identity_check(cfg.torus, zeta, lam, cfg.h1, cfg.h2, cfg.curves,
-                                       subsamples=subsamples)
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        reports = list(zip(r_values, pool.map(job, r_values)))
+        reports.append((r, homotopy_identity_check(cfg.torus, zeta, lam, cfg.h1, cfg.h2,
+                                                   cfg.curves, subsamples=subsamples)))
     _write_csv(cfg.out / "projection.csv",
                ["r", "displacement1", "displacement2", "r_deviation"],
                [(r, rep.atom_displacement_1, rep.atom_displacement_2, rep.r_deviation)
@@ -478,20 +468,6 @@ def _run_mt_check(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _gate_on_forbidden_set(cfg: ExperimentConfig, problem: str) -> None:
-    """Refuse interaction strengths within tol of the forbidden set (when gated)."""
-    if cfg.tol is None:
-        return
-    if problem == "toda":
-        verdict = global_membership(cfg.rho, cfg.singular, cfg.tol)
-        inside, near = verdict.inside, f"the forbidden set (witness: {verdict.witness})"
-    else:
-        inside, near = scalar_forbidden(cfg.rho, cfg.tol), "a multiple of 8 pi"
-    if inside:
-        raise ValueError(f"rho = ({cfg.rho.rho1:.6f}, {cfg.rho.rho2:.6f}) lies within "
-                         f"{cfg.tol} of {near}")
-
-
 def _problem_and_weights(cfg: ExperimentConfig) -> tuple[str, object]:
     """The configured problem name and the weights its solver takes."""
     problem = cfg.option("problem", _one_of("toda", "meanfield"), "toda")
@@ -508,9 +484,13 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         rng = np.random.default_rng(cfg.seed)
         initial = tuple(random_smooth_field(cfg.torus, rng, modes=4, scale=0.5)
                         for _ in names)
-    _gate_on_forbidden_set(cfg, problem)
+    if cfg.tol is not None:  # the forbidden-set gate
+        verdict = global_membership(cfg.rho, cfg.singular, cfg.tol, problem)
+        if verdict.inside:
+            raise ValueError(f"rho = ({cfg.rho.rho1:.6f}, {cfg.rho.rho2:.6f}) lies within "
+                             f"{cfg.tol} of the forbidden set (witness: {verdict.witness})")
     result = minimize(problem, weights, cfg.rho, cfg.singular, cfg.solver, initial)
-    residual = pde_residual(result.u, weights, cfg.rho, cfg.singular)
+    residual = pde_residual(problem, result.u, weights, cfg.rho, cfg.singular)
     for name, component in zip(names, result.u):
         write_field(cfg.out / f"solution_{name}.bin", component, name)
     report = {
@@ -525,7 +505,8 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         "pde_residual": residual,
     }
     if centers:
-        masses = blowup_masses(result.u, weights, cfg.rho, centers, radius, cfg.singular)
+        masses = blowup_masses(problem, result.u, weights, cfg.rho, centers, radius,
+                               cfg.singular)
         report["mass_report"] = [{
             "center": [m.center.x1, m.center.x2],
             "masses": list(m.masses),
@@ -586,7 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--threads", type=int, help="worker threads (overrides config)")
+        p.add_argument("--threads", type=int, help="accepted and echoed; has no effect")
         p.add_argument("--tol", type=float,
                        help="forbidden-set gate tolerance (overrides config)")
     args = parser.parse_args(argv)

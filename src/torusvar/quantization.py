@@ -228,6 +228,22 @@ def global_window(singular: SingularData, low: tuple[float, float],
     return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
 
 
+def forbidden_window(problem: str, singular: SingularData, low: tuple[float, float],
+                     high: tuple[float, float]) -> GlobalSet:
+    """The forbidden set of problem "toda" (`global_window`) or "meanfield"
+    (the lines 8 pi n, n >= 1, in each coordinate, and no points) inside the
+    window [low1, high1] x [low2, high2]."""
+    if problem == "toda":
+        return global_window(singular, low, high)
+    if problem == "meanfield":
+        def lines(lo: float, hi: float) -> np.ndarray:
+            first, last = max(1, int(lo / (8.0 * np.pi))), int(hi / (8.0 * np.pi)) + 1
+            values = 8.0 * np.pi * np.arange(first, last + 1)
+            return _printed(values[(values >= lo) & (values <= hi)])
+        return GlobalSet(np.empty((0, 2)), lines(low[0], high[0]), lines(low[1], high[1]))
+    raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")
+
+
 def global_lambda(singular: SingularData, box: tuple[float, float]) -> GlobalSet:
     """Enumerate the forbidden set inside [0, box1] x [0, box2] (+4 pi padding)."""
     return global_window(singular, (0.0, 0.0), (box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi))
@@ -240,52 +256,42 @@ class MembershipReport:
     witness: tuple[str, tuple[float, ...]]
 
 
-def global_membership(rho: RhoPair, singular: SingularData, tol: float) -> MembershipReport:
-    """Distance from rho to the forbidden set (lines by coordinate gap,
-    isolated points by Euclidean distance) and the nearest witness element.
-    Ties go to the first element of lambda1, then lambda2, then lambda0."""
+def global_membership(rho: RhoPair, singular: SingularData, tol: float,
+                      problem: str = "toda") -> MembershipReport:
+    """Distance from rho to the named problem's forbidden set (lines by
+    coordinate gap, isolated points by Euclidean distance) and the nearest
+    witness element.  Ties go to the first element of lambda1, then lambda2,
+    then lambda0.  The window reaching 4 pi around rho holds the nearest
+    element when one lies that close, as a Toda line always does; otherwise
+    the window reaching 8 pi is listed, and it holds a mean-field line."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    reach = 4.0 * np.pi
-    gs = global_window(singular, (rho.rho1 - reach, rho.rho2 - reach),
-                       (rho.rho1 + reach, rho.rho2 + reach))
-    families = (
-        ("lambda1-line", gs.lambda1[:, None], np.abs(rho.rho1 - gs.lambda1)),
-        ("lambda2-line", gs.lambda2[:, None], np.abs(rho.rho2 - gs.lambda2)),
-        ("lambda0-point", gs.lambda0,
-         np.hypot(rho.rho1 - gs.lambda0[:, 0], rho.rho2 - gs.lambda0[:, 1])),
-    )
-    best = (np.inf, ("none", ()))
-    for kind, elements, distances in families:
-        if len(elements):
-            k = int(np.argmin(distances))
-            if distances[k] < best[0]:
-                best = (float(distances[k]), (kind, tuple(elements[k].tolist())))
+    for reach in (4.0 * np.pi, 8.0 * np.pi):
+        gs = forbidden_window(problem, singular, (rho.rho1 - reach, rho.rho2 - reach),
+                              (rho.rho1 + reach, rho.rho2 + reach))
+        families = (
+            ("lambda1-line", gs.lambda1[:, None], np.abs(rho.rho1 - gs.lambda1)),
+            ("lambda2-line", gs.lambda2[:, None], np.abs(rho.rho2 - gs.lambda2)),
+            ("lambda0-point", gs.lambda0,
+             np.hypot(rho.rho1 - gs.lambda0[:, 0], rho.rho2 - gs.lambda0[:, 1])),
+        )
+        best = (np.inf, ("none", ()))
+        for kind, elements, distances in families:
+            if len(elements):
+                k = int(np.argmin(distances))
+                if distances[k] < best[0]:
+                    best = (float(distances[k]), (kind, tuple(elements[k].tolist())))
+        if best[0] <= reach:
+            break
     return MembershipReport(best[0] <= tol, best[0], best[1])
 
 
-def nearest_scalar_line(value: float) -> tuple[int, float]:
-    """The positive multiple n of 8 pi nearest to value, as (n, |value - 8 pi n|)."""
-    n = max(1, int(round(value / (8.0 * np.pi))))
-    return n, abs(value - n * 8.0 * np.pi)
-
-
-def scalar_forbidden(rho: RhoPair, tol: float) -> bool:
-    """Whether either coordinate is within tol of a positive multiple of 8 pi."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return any(nearest_scalar_line(value)[1] <= tol for value in (rho.rho1, rho.rho2))
-
-
-def scalar_blowup_value(alpha: float) -> float:
-    """The scalar concentration mass at a point of weight alpha: 4 pi (1 + alpha)."""
-    return 4.0 * np.pi * (1.0 + alpha)
-
-
-def blowup_candidates(singular: SingularData,
-                      point_index: Optional[int] = None) -> tuple[tuple[float, float], ...]:
-    """Reference table of candidate blow-up mass pairs (2 pi times the local set,
-    origin excluded) at a marked point, or at a regular point when no index is given."""
+def blowup_candidates(singular: SingularData, point_index: Optional[int] = None,
+                      problem: str = "toda") -> tuple[tuple[float, float], ...]:
+    """Reference table of candidate blow-up mass pairs at a marked point, or at
+    a regular point when no index is given: for "toda", 2 pi times the local
+    set (origin excluded); for "meanfield", all pairs of 8 pi n (n = 1..5) and,
+    at a marked point, 4 pi (1 + alpha1)."""
     if point_index is None:
         alpha1 = alpha2 = 0.0
     else:
@@ -293,5 +299,12 @@ def blowup_candidates(singular: SingularData,
             raise IndexError(f"singular point index {point_index} out of range")
         alpha1 = singular.alpha1[point_index]
         alpha2 = singular.alpha2[point_index]
-    local = local_lambda(alpha1, alpha2)
-    return tuple((2.0 * np.pi * p[0], 2.0 * np.pi * p[1]) for p in local.nonzero_points())
+    if problem == "toda":
+        local = local_lambda(alpha1, alpha2)
+        return tuple((2.0 * np.pi * p[0], 2.0 * np.pi * p[1]) for p in local.nonzero_points())
+    if problem == "meanfield":
+        values = [8.0 * np.pi * n for n in range(1, 6)]
+        if point_index is not None:
+            values.append(4.0 * np.pi * (1.0 + alpha1))
+        return tuple((v, w) for v in values for w in values)
+    raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")

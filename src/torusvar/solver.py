@@ -51,13 +51,7 @@ from .geometry import (
     spectral_inner,
     to_spectrum,
 )
-from .quantization import (
-    DEDUP_TOLERANCE,
-    blowup_candidates,
-    global_window,
-    nearest_scalar_line,
-    scalar_blowup_value,
-)
+from .quantization import DEDUP_TOLERANCE, blowup_candidates, forbidden_window
 
 
 # Hessian-vector products per Newton step at most (the inner CG cap)
@@ -207,6 +201,15 @@ def minimize(problem: str, h, rho: RhoPair, singular: SingularData,
                        kernel.coercive, reason)
 
 
+def _kernel(problem: str, u: Sequence[GridField], h, rho: RhoPair,
+            singular: SingularData) -> EnergyKernel:
+    """The named problem's kernel; raises when u has the wrong number of fields."""
+    kernel = EnergyKernel.of(problem, h, rho, singular)
+    if len(u) != len(kernel.mixing):
+        raise ValueError(f"problem {problem!r} takes {len(kernel.mixing)} field(s), got {len(u)}")
+    return kernel
+
+
 def _exponentials(kernel: EnergyKernel, u: Sequence[GridField]) -> list[np.ndarray]:
     """Per exponential term (component c, sign s), h_k e^{s u_c} divided by its maximum."""
     out = []
@@ -216,16 +219,17 @@ def _exponentials(kernel: EnergyKernel, u: Sequence[GridField]) -> list[np.ndarr
     return out
 
 
-def pde_residual(u: Sequence[GridField], h, rho: RhoPair, singular: SingularData) -> float:
+def pde_residual(problem: str, u: Sequence[GridField], h, rho: RhoPair,
+                 singular: SingularData) -> float:
     """L2 norm of the strong-form equations, assembled from scratch.
 
-    Two components: -Lap u1 = 2 rho1 (f1 - 1) - rho2 (f2 - 1) and its mirror.
-    One component: -Lap u = rho1 (f+ - 1) - rho2 (f- - 1)."""
-    kernel = EnergyKernel.of("toda" if len(u) == 2 else "meanfield", h, rho, singular)
+    "toda": -Lap u1 = 2 rho1 (f1 - 1) - rho2 (f2 - 1) and its mirror.
+    "meanfield": -Lap u = rho1 (f+ - 1) - rho2 (f- - 1)."""
+    kernel = _kernel(problem, u, h, rho, singular)
     torus = u[0].torus
     f = [e / (e.sum() * torus.cell_area) for e in _exponentials(kernel, u)]
     minus_lap = [-laplacian_array(torus, component.values) for component in u]
-    if len(u) == 2:
+    if problem == "toda":
         residuals = (minus_lap[0] - 2.0 * rho.rho1 * (f[0] - 1.0) + rho.rho2 * (f[1] - 1.0),
                      minus_lap[1] - 2.0 * rho.rho2 * (f[1] - 1.0) + rho.rho1 * (f[0] - 1.0))
     else:
@@ -235,21 +239,13 @@ def pde_residual(u: Sequence[GridField], h, rho: RhoPair, singular: SingularData
 
 def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
                            singular: SingularData) -> None:
-    """Require the 2-nu box around rho_center to avoid the forbidden set;
-    raises naming the offending line or point."""
+    """Require the 2-nu box around rho_center to avoid the named problem's
+    forbidden set; raises naming the offending line or point."""
     r1, r2 = rho_center.rho1, rho_center.rho2
-    if problem == "meanfield":
-        for label, value in (("first", r1), ("second", r2)):
-            n, gap = nearest_scalar_line(value)
-            if gap <= 2.0 * nu:
-                raise ValueError(
-                    f"continuation box hits the scalar forbidden line {n}*8pi"
-                    f" = {n * 8.0 * np.pi:.6f} in the {label} coordinate")
-        return
     reach = 2.0 * nu
     # the tests below read reported, rounded values: reach past round-off
     pad = reach + DEDUP_TOLERANCE
-    gs = global_window(singular, (r1 - pad, r2 - pad), (r1 + pad, r2 + pad))
+    gs = forbidden_window(problem, singular, (r1 - pad, r2 - pad), (r1 + pad, r2 + pad))
     crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= reach)
     if crossed1.size:
         raise ValueError("continuation box crosses the vertical line rho1 = "
@@ -292,12 +288,13 @@ class MassReport:
     candidate_distance: float
 
 
-def blowup_masses(u: Sequence[GridField], h, rho: RhoPair, centers: Sequence[Point],
-                  r: float, singular: SingularData = SingularData.empty()) -> list[MassReport]:
+def blowup_masses(problem: str, u: Sequence[GridField], h, rho: RhoPair,
+                  centers: Sequence[Point], r: float,
+                  singular: SingularData = SingularData.empty()) -> list[MassReport]:
     """Local exponential masses rho_k * (f_k mass in B_r(center)) per center
-    and exponential term, with the nearest quantization-table entry for
-    reference."""
-    kernel = EnergyKernel.of("toda" if len(u) == 2 else "meanfield", h, rho, singular)
+    and exponential term, with the nearest entry of the named problem's
+    quantization table for reference."""
+    kernel = _kernel(problem, u, h, rho, singular)
     torus = u[0].torus
     if r <= 2.0 * torus.max_spacing:
         raise ValueError(f"ball radius {r} must exceed two grid spacings")
@@ -314,13 +311,7 @@ def blowup_masses(u: Sequence[GridField], h, rho: RhoPair, centers: Sequence[Poi
             if torus.distance(center, p) <= r:
                 index = j
                 break
-        if len(u) == 2:
-            table = blowup_candidates(singular, index)
-        else:
-            values = [8.0 * np.pi * n for n in range(1, 6)]
-            if index is not None:
-                values.append(scalar_blowup_value(singular.alpha1[index]))
-            table = tuple((v, w) for v in values for w in values)
+        table = blowup_candidates(singular, index, problem)
         best = min(table, key=lambda c: np.hypot(c[0] - masses[0], c[1] - masses[1]))
         dist = float(np.hypot(best[0] - masses[0], best[1] - masses[1]))
         reports.append(MassReport(center, masses, best, dist))

@@ -245,7 +245,7 @@ def test_criterion_08_coercive_solves_certify():
     # tolerance sits above the float64 stall floor measured for this problem
     toda = minimize("toda", (h1, h2), rho_t, EMPTY,
                     SolverConfig(gradient_tolerance=5e-9))
-    toda_res = pde_residual(toda.u, (h1, h2), rho_t, EMPTY)
+    toda_res = pde_residual("toda", toda.u, (h1, h2), rho_t, EMPTY)
     rho_m = RhoPair(4 * np.pi, 4 * np.pi)
     # equal strengths make the zero state an exact critical point, so the
     # scalar solve starts from a seeded random state instead
@@ -253,7 +253,7 @@ def test_criterion_08_coercive_solves_certify():
     start = (random_smooth_field(torus, rng, modes=4, scale=0.5),)
     mf = minimize("meanfield", h1, rho_m, EMPTY,
                   SolverConfig(gradient_tolerance=1e-8), initial=start)
-    mf_res = pde_residual(mf.u, h1, rho_m, EMPTY)
+    mf_res = pde_residual("meanfield", mf.u, h1, rho_m, EMPTY)
     flat = minimize("toda", (torus.constant_field(1.0), torus.constant_field(1.0)),
                     rho_t, EMPTY)
     flat_ok = (flat.iterations == 0 and np.all(flat.u[0].values == 0.0)

@@ -127,10 +127,11 @@ class TestConfigValidation:
         ("test-energy", {"k": True}, "k"),
         ("solve", {"grid": {"n": 32.7}}, "n"),
         ("continuation", {"nu": True}, "nu"),
+        ("projection", {"subsample": 2}, "subsample"),
     ), ids=("grid-number", "solver-list", "singular-number", "h-number", "subsamples-text",
             "r-values-number", "steps-text", "box-number", "alpha-retired", "rho-sample-single",
             "mass-center-single", "components-text", "initial-typo", "spacing-typo",
-            "steps-fraction", "k-boolean", "n-fraction", "nu-boolean"))
+            "steps-fraction", "k-boolean", "n-fraction", "nu-boolean", "subsample-unknown"))
     def test_malformed_value_exits_2_with_one_line(self, tmp_path, capsys, subcommand, bad,
                                                    named):
         cfg = write_config(tmp_path, {**SMALL_GRID, **bad})
@@ -252,7 +253,8 @@ class TestSubcommands:
                                       "rho": [8 * np.pi, 1.0]})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--tol", "0.5"]) == 3
-        assert "8 pi" in capsys.readouterr().err
+        # the witness is the line rho1 = 8 pi, as the forbidden set lists it
+        assert "('lambda1-line', (25.132741228718,))" in capsys.readouterr().err
 
     def test_nonconvergence_exits_4_with_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, {

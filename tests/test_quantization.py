@@ -13,13 +13,13 @@ from torusvar.geometry import FlatTorus, Point, SingularData
 import torusvar.quantization
 from torusvar.quantization import (
     DEDUP_TOLERANCE,
+    ROUND_OFF,
     blowup_candidates,
+    forbidden_window,
     gamma_residual,
     global_lambda,
     global_membership,
     local_lambda,
-    scalar_blowup_value,
-    scalar_forbidden,
 )
 from torusvar.solver import check_continuation_box
 
@@ -384,20 +384,94 @@ class TestPrunedEnumeration:
         assert report.witness == ("lambda1-line", (round(4 * np.pi, 12),))
 
 
+def nearest_scalar_line(value):
+    """Reference copy of the retired scalar rule: the positive multiple n of
+    8 pi nearest to value, as (n, |value - 8 pi n|)."""
+    n = max(1, int(round(value / (8.0 * np.pi))))
+    return n, abs(value - n * 8.0 * np.pi)
+
+
+def scalar_forbidden(rho, tol):
+    """Reference copy of the retired scalar gate: either coordinate within tol
+    of a positive multiple of 8 pi."""
+    return any(nearest_scalar_line(value)[1] <= tol for value in (rho.rho1, rho.rho2))
+
+
+def scalar_box_message(center, nu):
+    """Reference copy of the retired mean-field continuation rule (the 8 pi
+    line nearest each coordinate, first coordinate first), in the wording the
+    common check uses for a crossed line."""
+    for line, value in (("vertical line rho1", center.rho1),
+                        ("horizontal line rho2", center.rho2)):
+        n, gap = nearest_scalar_line(value)
+        if gap <= 2.0 * nu:
+            return f"continuation box crosses the {line} = {n * 8.0 * np.pi:.6f}"
+    return None
+
+
 class TestScalarTables:
     def test_forbidden_multiples_of_eight_pi(self):
-        assert scalar_forbidden(RhoPair(8 * np.pi, 1.0), 1e-9)
-        assert scalar_forbidden(RhoPair(1.0, 16 * np.pi + 1e-10), 1e-9)
-        assert not scalar_forbidden(RhoPair(4 * np.pi, 4 * np.pi), 1e-6)
+        empty = SingularData.empty()
+        assert global_membership(RhoPair(8 * np.pi, 1.0), empty, 1e-9, "meanfield").inside
+        assert global_membership(RhoPair(1.0, 16 * np.pi + 1e-10), empty, 1e-9,
+                                 "meanfield").inside
+        assert not global_membership(RhoPair(4 * np.pi, 4 * np.pi), empty, 1e-6,
+                                     "meanfield").inside
 
     def test_zero_is_not_forbidden(self):
-        # the excluded values start at 8 pi; the origin is fine
-        assert not scalar_forbidden(RhoPair(0.0, 0.0), 1e-6)
+        # the excluded values start at 8 pi; the origin is fine, 8 pi away from them
+        report = global_membership(RhoPair(0.0, 0.0), SingularData.empty(), 1e-6, "meanfield")
+        assert not report.inside
+        assert report.nearest_distance == pytest.approx(8 * np.pi, abs=1e-9)
+        assert report.witness == ("lambda1-line", (round(8 * np.pi, 12),))
 
     def test_blowup_value_formula(self):
-        assert scalar_blowup_value(0.0) == pytest.approx(4 * np.pi)
-        assert scalar_blowup_value(1.5) == pytest.approx(10 * np.pi)
+        # 4 pi (1 + alpha) at a marked point, next to every pair of 8 pi n, n = 1..5
+        torus = FlatTorus(32)
+        regular = set(blowup_candidates(SingularData.empty(), None, "meanfield"))
+        assert regular == {(8 * np.pi * a, 8 * np.pi * b)
+                           for a in range(1, 6) for b in range(1, 6)}
+        for alpha, value in ((0.0, 4 * np.pi), (1.5, 10 * np.pi)):
+            s = SingularData.of([(0.5, 0.5)], [alpha], [0.0], torus)
+            table = set(blowup_candidates(s, 0, "meanfield"))
+            assert len(table) == 36 and regular < table
+            assert any(c == pytest.approx((value, value)) for c in table)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            scalar_forbidden(RhoPair(1.0, 1.0), 0.0)
+            global_membership(RhoPair(1.0, 1.0), SingularData.empty(), 0.0, "meanfield")
+
+    def test_unknown_problem_is_refused(self):
+        for query in (lambda: forbidden_window("sinh", SingularData.empty(), (0, 0), (1, 1)),
+                      lambda: blowup_candidates(SingularData.empty(), None, "sinh")):
+            with pytest.raises(ValueError, match="unknown problem 'sinh'"):
+                query()
+
+    def test_window_lists_the_lines_as_printed(self):
+        gs = forbidden_window("meanfield", SingularData.empty(), (20.0, -5.0), (60.0, 30.0))
+        assert gs.lambda0.shape == (0, 2)
+        assert gs.lambda1.tolist() == [round(8 * np.pi, 12), round(16 * np.pi, 12)]
+        assert gs.lambda2.tolist() == [round(8 * np.pi, 12)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(WEIGHTS, max_size=2),
+           st.tuples(st.floats(0.0, 60 * np.pi), st.floats(0.0, 60 * np.pi)),
+           st.floats(1e-9, 8 * np.pi), st.floats(0.0, np.pi))
+    def test_matches_the_retired_scalar_rules(self, weights, rho, tol, nu):
+        # The common checks read the listed line values, 8 pi n rounded to 12
+        # digits as for Toda, while the retired rules read 8 pi n itself: the
+        # two may differ only where a gap is within round-off of tol or 2 nu.
+        gaps = [nearest_scalar_line(v)[1] for v in rho]
+        assume(all(abs(gap - edge) > ROUND_OFF for gap in gaps for edge in (tol, 2 * nu)))
+        # marked points do not move the mean-field lines
+        singular, center = marked(weights), RhoPair(*rho)
+        report = global_membership(center, singular, tol, "meanfield")
+        assert report.inside == scalar_forbidden(center, tol)
+        assert report.nearest_distance == pytest.approx(
+            min(gaps), abs=1e-9)
+        try:
+            check_continuation_box("meanfield", center, nu, singular)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == scalar_box_message(center, nu)

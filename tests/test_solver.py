@@ -67,7 +67,7 @@ class TestMinimize:
         assert result.residual_norm <= 1e-8
         assert result.coercive
         # certified by the independent strong-form assembly
-        assert pde_residual(result.u, aniso_weights, rho, EMPTY) < 1e-5
+        assert pde_residual("toda", result.u, aniso_weights, rho, EMPTY) < 1e-5
 
     def test_scalar_sine_weight_converges(self, torus64):
         x1, _ = torus64.grids()
@@ -76,7 +76,7 @@ class TestMinimize:
         result = minimize("meanfield", h, rho, EMPTY)
         assert result.converged
         assert result.coercive
-        assert pde_residual(result.u, h, rho, EMPTY) < 1e-5
+        assert pde_residual("meanfield", result.u, h, rho, EMPTY) < 1e-5
 
     def test_energy_never_increases_from_the_start(self, aniso_weights):
         h1, h2 = aniso_weights
@@ -366,7 +366,7 @@ class TestStrongResidual:
                                          scale=0.5),)
             result = minimize("meanfield", h, rho, singular, config, start)
             assert result.converged, seed
-            assert pde_residual(result.u, h, rho, singular) <= 1e-6, seed
+            assert pde_residual("meanfield", result.u, h, rho, singular) <= 1e-6, seed
 
 
 # ----- reference: the per-problem formulas of the string-dispatched solver ---
@@ -431,7 +431,7 @@ class TestAgainstThePerProblemFormulas:
     def test_pde_residual(self, torus64, aniso_weights):
         for problem, h, u, rho, singular in reference_cases(torus64, aniso_weights):
             expected = reference_pde_residual(u, resolved_weights(problem, h, singular), rho)
-            assert pde_residual(u, h, rho, singular) == pytest.approx(expected, rel=1e-12), \
+            assert pde_residual(problem, u, h, rho, singular) == pytest.approx(expected, rel=1e-12), \
                 (problem, singular.points)
 
     def test_blowup_masses(self, torus64, aniso_weights):
@@ -439,7 +439,7 @@ class TestAgainstThePerProblemFormulas:
         r = 0.2
         for problem, h, u, rho, singular in reference_cases(torus64, aniso_weights):
             weights = resolved_weights(problem, h, singular)
-            for report in blowup_masses(u, h, rho, centers, r, singular):
+            for report in blowup_masses(problem, u, h, rho, centers, r, singular):
                 ball = torus64.distance_field(report.center) <= r
                 expected = reference_masses(u, weights, rho, ball)
                 assert report.masses == pytest.approx(expected, rel=1e-12), \
@@ -450,13 +450,14 @@ class TestPdeResidual:
     def test_zero_state_constant_weight(self, torus64):
         h = torus64.constant_field(1.0)
         u = (torus64.constant_field(0.0), torus64.constant_field(0.0))
-        assert pde_residual(u, (h, h), RhoPair(2 * np.pi, 2 * np.pi), EMPTY) \
+        assert pde_residual("toda", u, (h, h), RhoPair(2 * np.pi, 2 * np.pi), EMPTY) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_random_state_is_far_from_solving(self, torus64, aniso_weights):
         rng = np.random.default_rng(7)
         u = (random_smooth_field(torus64, rng), random_smooth_field(torus64, rng))
-        assert pde_residual(u, aniso_weights, RhoPair(2 * np.pi, 2 * np.pi), EMPTY) > 1e-2
+        assert pde_residual("toda", u, aniso_weights, RhoPair(2 * np.pi, 2 * np.pi), EMPTY) \
+            > 1e-2
 
     def test_two_component_tracks_the_gradient_norm(self, torus64, aniso_weights):
         # the two assemblies are independent; their norms agree within a fixed factor
@@ -464,7 +465,7 @@ class TestPdeResidual:
         rho = RhoPair(2 * np.pi, 3.0)
         for _ in range(20):
             u = (random_smooth_field(torus64, rng), random_smooth_field(torus64, rng))
-            strong = pde_residual(u, aniso_weights, rho, EMPTY)
+            strong = pde_residual("toda", u, aniso_weights, rho, EMPTY)
             weak = gradient_norm("toda", u, aniso_weights, rho)
             assert weak / 10.0 <= strong <= 10.0 * weak
 
@@ -475,9 +476,15 @@ class TestPdeResidual:
         rho = RhoPair(4.0, 2.0)
         for _ in range(20):
             u = (random_smooth_field(torus64, rng),)
-            strong = pde_residual(u, h, rho, EMPTY)
+            strong = pde_residual("meanfield", u, h, rho, EMPTY)
             weak = gradient_norm("meanfield", u, h, rho)
             assert strong == pytest.approx(weak, rel=1e-9)
+
+
+    def test_field_count_must_match_the_problem(self, torus64, aniso_weights):
+        u = (torus64.constant_field(0.0), torus64.constant_field(0.0))
+        with pytest.raises(ValueError, match=r"'meanfield' takes 1 field\(s\), got 2"):
+            pde_residual("meanfield", u, aniso_weights[0], RhoPair(1.0, 1.0), EMPTY)
 
 
 class TestContinuation:
@@ -500,7 +507,7 @@ class TestContinuation:
             check_continuation_box("toda", RhoPair(42.0, 15.0), 0.5, singular)
 
     def test_scalar_line_crossing_aborts(self):
-        with pytest.raises(ValueError, match="forbidden line"):
+        with pytest.raises(ValueError, match=r"vertical line rho1 = 25\.132741$"):
             check_continuation_box("meanfield", RhoPair(8 * np.pi, 1.0), 0.5, EMPTY)
 
     def test_sweep_converges_with_continuous_energies(self, aniso_weights):
@@ -553,14 +560,20 @@ class TestBlowupMasses:
         u = (torus64.constant_field(0.0), torus64.constant_field(0.0))
         h = torus64.constant_field(1.0)
         with pytest.raises(ValueError, match="must exceed"):
-            blowup_masses(u, h, RhoPair(1.0, 1.0), [torus64.point(0.5, 0.5)], 0.02)
+            blowup_masses("toda", u, h, RhoPair(1.0, 1.0), [torus64.point(0.5, 0.5)], 0.02)
+
+    def test_field_count_must_match_the_problem(self, torus64):
+        h = torus64.constant_field(1.0)
+        with pytest.raises(ValueError, match=r"'toda' takes 2 field\(s\), got 1"):
+            blowup_masses("toda", (torus64.constant_field(0.0),), h, RhoPair(1.0, 1.0),
+                          [torus64.point(0.5, 0.5)], 0.25)
 
     def test_uniform_state_mass_is_the_area_fraction(self, torus64):
         u = (torus64.constant_field(0.0), torus64.constant_field(0.0))
         h = torus64.constant_field(1.0)
         rho = RhoPair(2 * np.pi, 2 * np.pi)
         r = 0.25
-        reports = blowup_masses(u, h, rho, [torus64.point(0.3, 0.4)], r)
+        reports = blowup_masses("toda", u, h, rho, [torus64.point(0.3, 0.4)], r)
         expected = rho.rho1 * np.pi * r * r
         assert reports[0].masses[0] == pytest.approx(expected, rel=0.15)
         assert reports[0].masses[1] == pytest.approx(expected, rel=0.15)
@@ -573,7 +586,7 @@ class TestBlowupMasses:
              torus64.constant_field(0.0))
         h = torus64.constant_field(1.0)
         rho = RhoPair(4 * np.pi, 1.0)
-        report = blowup_masses(u, h, rho, [p], 0.1)[0]
+        report = blowup_masses("toda", u, h, rho, [p], 0.1)[0]
         assert report.masses[0] > 0.95 * 4 * np.pi
         assert report.nearest_candidate == pytest.approx((4 * np.pi, 0.0))
         assert report.candidate_distance == pytest.approx(
@@ -587,8 +600,8 @@ class TestBlowupMasses:
              torus64.constant_field(0.0))
         h = torus64.constant_field(1.0)
         rho = RhoPair(2 * np.pi, 2 * np.pi)
-        small = blowup_masses(u, h, rho, [p], 0.1)[0]
-        large = blowup_masses(u, h, rho, [p], 0.3)[0]
+        small = blowup_masses("toda", u, h, rho, [p], 0.1)[0]
+        large = blowup_masses("toda", u, h, rho, [p], 0.3)[0]
         assert small.masses[0] <= large.masses[0]
         assert small.masses[1] <= large.masses[1]
 
@@ -604,6 +617,7 @@ class TestBlowupMasses:
         u = (torus.field(-2.0 * np.log1p((lam * d) ** (2.0 * (1.0 + alpha)))),)
         h = torus.constant_field(1.0)
         target = 4.0 * np.pi * (1.0 + alpha)
-        report = blowup_masses(u, h, RhoPair(target, 1.0), [p], 0.2, singular)[0]
+        report = blowup_masses("meanfield", u, h, RhoPair(target, 1.0), [p], 0.2,
+                               singular)[0]
         assert report.masses[0] > 0.9 * target
         assert report.nearest_candidate[0] == pytest.approx(target)
