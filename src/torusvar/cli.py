@@ -397,9 +397,9 @@ def _run_kr_scaling(cfg: ExperimentConfig) -> int:
     zeta = cfg.join_element()
     subsamples = cfg.option("subsamples", _count, 8)
     fit_floor = cfg.option("fit_floor", _real, 10.0)
-    curves = [(c, kr_scaling_check(cfg.torus, zeta, cfg.lambdas, c, cfg.h1, cfg.h2,
-                                   subsamples=subsamples, fit_floor=fit_floor))
-              for c in components]
+    curves = list(zip(components, kr_scaling_check(cfg.torus, zeta, cfg.lambdas, components,
+                                                   cfg.h1, cfg.h2, subsamples=subsamples,
+                                                   fit_floor=fit_floor)))
     rows = [(c, lam, s1, s2, d) for c, curve in curves
             for lam, s1, s2, d in curve.rows()]
     _write_csv(cfg.out / "kr.csv",

@@ -98,10 +98,16 @@ class FlatTorus:
     def squared_distance_field(self, p: Point,
                                offset: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
         """Squared distances d(node + offset, p)^2 for all grid nodes, n x n."""
-        x1, x2 = self.axes()
-        d1 = _min_image(x1 + offset[0] - p.x1, self.L1)
-        d2 = _min_image(x2 + offset[1] - p.x2, self.L2)
-        return (d1 * d1)[:, None] + (d2 * d2)[None, :]
+        return (self.squared_displacement_row(0, p.x1, offset[0])[:, None]
+                + self.squared_displacement_row(1, p.x2, offset[1])[None, :])
+
+    def squared_displacement_row(self, axis: int, coordinate: float,
+                                 offset: float = 0.0) -> np.ndarray:
+        """Squared minimum-image displacements (node + offset - coordinate)^2
+        along one axis (0 for x1, 1 for x2), one entry per node index."""
+        length = (self.L1, self.L2)[axis]
+        d = _min_image(np.arange(self.n) * self.spacing[axis] + offset - coordinate, length)
+        return d * d
 
     def displacement(self, a: np.ndarray, b: np.ndarray, axis_length: float) -> np.ndarray:
         """Signed minimum-image displacement a - b along one axis (vectorized)."""

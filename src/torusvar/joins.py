@@ -94,16 +94,35 @@ def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
     """Cell-averaged samples of log sum_i t_i (1 + scale^2 d(x, x_i)^2)^(-2).
 
     At scale 0 every bubble is identically 1 and the weights sum to 1, so the
-    result is exactly zero — the join's endpoint degeneracy, bit for bit."""
+    result is exactly zero — the join's endpoint degeneracy, bit for bit.
+
+    Each squared distance is the sum of two per-axis rows
+    (`FlatTorus.squared_displacement_row`), so every atom's rows are built once
+    per sub-cell offset along each axis, and each offset is scored in place
+    with the same operations, in the same order, as the per-offset formula."""
+    n = torus.n
     if scale == 0.0:
-        return np.zeros((torus.n, torus.n))
-    acc = np.zeros((torus.n, torus.n))
-    for offset in subcell_offsets(torus, subsamples):
-        mix = np.zeros((torus.n, torus.n))
-        for t, p in sigma.atoms:
-            d2 = torus.squared_distance_field(p, offset)
-            mix += t / (1.0 + scale**2 * d2) ** 2
-        acc += np.log(mix)
+        return np.zeros((n, n))
+    # subcell_offsets lists (o1, o2) with o1 in the outer loop
+    offsets = subcell_offsets(torus, subsamples)
+    axis_offsets = ([o1 for o1, _ in offsets[::subsamples]], [o2 for _, o2 in offsets[:subsamples]])
+    rows = [[[torus.squared_displacement_row(axis, p[axis], o) for o in axis_offsets[axis]]
+             for axis in (0, 1)] for _, p in sigma.atoms]
+    scale2 = scale**2
+    acc = np.zeros((n, n))
+    mix = np.empty((n, n))
+    term = np.empty((n, n))
+    for a, b in np.ndindex(subsamples, subsamples):
+        mix.fill(0.0)
+        for (t, _), (rows1, rows2) in zip(sigma.atoms, rows):
+            # t / (1 + scale^2 d^2)^2
+            np.add(rows1[a][:, None], rows2[b][None, :], out=term)
+            np.multiply(scale2, term, out=term)
+            np.add(1.0, term, out=term)
+            np.square(term, out=term)
+            np.divide(t, term, out=term)
+            np.add(mix, term, out=mix)
+        acc += np.log(mix, out=mix)
     return acc / subsamples**2
 
 
@@ -259,36 +278,36 @@ def homotopy_identity_check(torus: FlatTorus, zeta: JoinElement, lam: float,
 
 
 def kr_scaling_check(torus: FlatTorus, zeta: JoinElement, lambdas: Sequence[float],
-                     component: int, h1: GridField, h2: GridField,
+                     components: Sequence[int], h1: GridField, h2: GridField,
                      subsamples: int = DEFAULT_SUBSAMPLES,
-                     fit_floor: float = 10.0) -> SweepCurve:
-    """Decay rate of the distance from the peak family's density to its atomic set.
+                     fit_floor: float = 10.0) -> list[SweepCurve]:
+    """Decay rate of the distance from the peak family's densities to their
+    atomic sets, one curve per entry of `components` (each 1 or 2, in order).
 
-    Fits log d against log lambda_{i,r}, restricted to lambda_{i,r} >= fit_floor
-    where the profile is genuinely concentrated.  If the component is degenerate
-    (its scale is identically zero), the fit falls back to log lambda as the
-    regressor; the distance is then scale-free and the slope sits near zero."""
-    if component not in (1, 2):
-        raise ValueError(f"component must be 1 or 2, got {component}")
+    The peak pair is synthesized once per lambda and shared by the components.
+    Each curve fits log d against log lambda_{i,r}, restricted to
+    lambda_{i,r} >= fit_floor where the profile is genuinely concentrated.  If
+    a component is degenerate (its scale is identically zero), the fit falls
+    back to log lambda as the regressor; the distance is then scale-free and
+    the slope sits near zero."""
+    for component in components:
+        if component not in (1, 2):
+            raise ValueError(f"component must be 1 or 2, got {component}")
     lams = _check_lambda_grid(lambdas)
-    h = h1 if component == 1 else h2
-    capacity = zeta.sigma1.capacity if component == 1 else zeta.sigma2.capacity
-    dists = []
-    scales = []
-    for lam in lams:
-        phi1, phi2 = test_function(torus, zeta, lam, subsamples)
-        phi = phi1 if component == 1 else phi2
-        f = DiscreteMeasure.from_field(normalized_density(phi, h))
-        d, _ = distance_to_barycenters(f, capacity)
-        dists.append(d)
-        scales.append(zeta.scales(lam)[component - 1])
-    dists = np.array(dists)
-    scales = np.array(scales)
-    degenerate = np.all(scales == 0.0)
-    regressor = lams if degenerate else scales
-    mask = regressor >= fit_floor
-    if mask.sum() < 2:
-        raise ValueError("fewer than two sweep points above the fit floor")
-    slope = _fit_slope(np.log(regressor[mask]), np.log(dists[mask]))
-    s1, s2 = zip(*(zeta.scales(lam) for lam in lams))
-    return SweepCurve(lams, np.array(s1), np.array(s2), dists, slope, mask)
+    dists = np.empty((len(components), len(lams)))
+    for j, lam in enumerate(lams):
+        phis = test_function(torus, zeta, lam, subsamples)
+        for i, c in enumerate(components):
+            f = DiscreteMeasure.from_field(normalized_density(phis[c - 1], (h1, h2)[c - 1]))
+            dists[i, j] = distance_to_barycenters(f, (zeta.sigma1, zeta.sigma2)[c - 1].capacity)[0]
+    s1, s2 = (np.array(s) for s in zip(*(zeta.scales(lam) for lam in lams)))
+    curves = []
+    for c, values in zip(components, dists):
+        scales = (s1, s2)[c - 1]
+        regressor = lams if np.all(scales == 0.0) else scales
+        mask = regressor >= fit_floor
+        if mask.sum() < 2:
+            raise ValueError("fewer than two sweep points above the fit floor")
+        slope = _fit_slope(np.log(regressor[mask]), np.log(values[mask]))
+        curves.append(SweepCurve(lams, s1, s2, values, slope, mask))
+    return curves

@@ -18,7 +18,8 @@ near at most k points, and a projection of densities onto atomic measures.
 The projection's distance is the k-median cost of its Voronoi-weighted atoms:
 exact for the returned measure, an upper bound for the k-atom set.  Its local
 search moves one center at a time against the running minimum of the cap and
-the other centers' distance fields, so a trial move costs one distance field.
+the other centers' distance fields; a trial's field is the square root of the
+sum of two cached per-axis rows, scored in place.
 """
 
 from __future__ import annotations
@@ -226,18 +227,19 @@ def _ball_kernel(torus: FlatTorus, radius: float) -> np.ndarray:
 
 
 def _ball_masses(density: np.ndarray, kernel_hat: np.ndarray, cell_area: float) -> np.ndarray:
-    """Mass inside the radius ball around every node, by circular convolution.
+    """Mass inside the radius ball around every node, by circular convolution
+    on real FFTs (`kernel_hat` is the `rfft2` of the ball's indicator).
 
     Values are rounded to 12 decimals so that near-ties from FFT round-off are
     broken by lowest node index, keeping center picks deterministic."""
-    conv = np.fft.ifft2(np.fft.fft2(density) * kernel_hat).real * cell_area
+    conv = np.fft.irfft2(np.fft.rfft2(density) * kernel_hat, s=density.shape) * cell_area
     return np.round(conv, 12)
 
 
 def _greedy_ball_centers(measure: DiscreteMeasure, rounds: int, radius: float) -> list[Point]:
     """Repeatedly capture the maximum-mass ball and remove its mass."""
     torus = measure.torus
-    kernel_hat = np.fft.fft2(_ball_kernel(torus, radius))
+    kernel_hat = np.fft.rfft2(_ball_kernel(torus, radius))
     density = measure.density.copy()
     centers: list[Point] = []
     for _ in range(rounds):
@@ -257,12 +259,7 @@ def _k_median_cost(measure: DiscreteMeasure, centers: Sequence[Point]) -> float:
     dmin = np.full((torus.n, torus.n), 2.0)  # the ground-cost cap
     for z in centers:
         np.minimum(dmin, torus.distance_field(z), out=dmin)
-    return _transport_cost(measure, dmin)
-
-
-def _transport_cost(measure: DiscreteMeasure, dmin: np.ndarray) -> float:
-    """int dmin dmu, for dmin the capped distance to the nearest center."""
-    return float((measure.density * dmin).sum() * measure.torus.cell_area)
+    return float((measure.density * dmin).sum() * torus.cell_area)
 
 
 def _voronoi_weights(measure: DiscreteMeasure, centers: Sequence[Point]) -> np.ndarray:
@@ -283,9 +280,12 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     optimal plan (Kitagawa-Merigot-Thibert).  The search tries the 8 grid
     neighbours of each center in turn and keeps a move that lowers the cost.
     While center i moves, the minimum of the cap 2 and the other centers'
-    distance fields is fixed, so a trial costs one distance field, one
-    elementwise minimum and one weighted sum; min is exact, so every trial
-    cost equals `_k_median_cost` of the trial centers bit for bit.
+    distance fields is fixed, so a trial costs one elementwise minimum and one
+    weighted sum into a reused buffer, plus its distance field: the square
+    root of the sum of two per-axis squared-displacement rows, cached per call
+    by coordinate, which is `FlatTorus.distance_field` operation for
+    operation.  min is exact, so every trial cost equals `_k_median_cost` of
+    the trial centers bit for bit.
     Candidates are built for every atom budget up to k and the best kept, so
     the result is monotone in k; budget b starts from the first b centers of
     one k-round greedy capture, which are the centers a b-round capture
@@ -298,6 +298,16 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
         raise ValueError(f"measure must have unit mass, got {mu.mass()}")
     torus = mu.torus
     h1, h2 = torus.spacing
+    rows: dict[tuple[int, float], np.ndarray] = {}
+
+    def row(axis: int, coordinate: float) -> np.ndarray:
+        key = (axis, coordinate)
+        if key not in rows:
+            rows[key] = torus.squared_displacement_row(axis, coordinate)
+        return rows[key]
+
+    others = np.empty((torus.n, torus.n))
+    trial_cost = np.empty((torus.n, torus.n))
     best_cost = np.inf
     best_centers: list[Point] = []
     seeds = _greedy_ball_centers(mu, k, radius=2.0 * torus.max_spacing)
@@ -312,15 +322,19 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
             guard += 1
             for idx in range(len(centers)):
                 # the cap and the other centers' fields stay fixed while center idx moves
-                others = np.full((torus.n, torus.n), 2.0)
+                others.fill(2.0)
                 for j, field in enumerate(fields):
                     if j != idx:
                         np.minimum(others, field, out=others)
                 for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
                     z = centers[idx]
                     trial = torus.point(z.x1 + di * h1, z.x2 + dj * h2)
-                    field = torus.distance_field(trial)
-                    c = _transport_cost(mu, np.minimum(others, field))
+                    # torus.distance_field(trial), from cached rows
+                    field = row(0, trial.x1)[:, None] + row(1, trial.x2)[None, :]
+                    np.sqrt(field, out=field)
+                    np.minimum(others, field, out=trial_cost)
+                    trial_cost *= mu.density
+                    c = float(trial_cost.sum() * torus.cell_area)
                     if c < cost - 1e-15:
                         centers[idx], fields[idx], cost = trial, field, c
                         moved = True
@@ -431,7 +445,7 @@ def covering_merge(omegas1: Sequence[Sequence[Point]], omegas2: Sequence[Sequenc
 
     cover_centers, _ = _cover_sublattice(torus, delta_bar)
     cover_pts = np.array([[p.x1, p.x2] for p in cover_centers])
-    kernel_hat = np.fft.fft2(_ball_kernel(torus, delta_bar))
+    kernel_hat = np.fft.rfft2(_ball_kernel(torus, delta_bar))
 
     def pick_centers(family: tuple, f: DiscreteMeasure) -> list[Point]:
         all_masses = _ball_masses(f.density, kernel_hat, torus.cell_area)
@@ -516,7 +530,7 @@ def detect_spread(f: DiscreteMeasure, m: int, eps: float, s: float) -> Optional[
         return None
     torus = f.torus
     s_bar = s / 4.0
-    kernel_hat = np.fft.fft2(_ball_kernel(torus, s_bar))
+    kernel_hat = np.fft.rfft2(_ball_kernel(torus, s_bar))
     bm = _ball_masses(f.density, kernel_hat, torus.cell_area)
     allowed = np.ones((torus.n, torus.n), dtype=bool)
     points: list[Point] = []

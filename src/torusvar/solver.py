@@ -51,7 +51,7 @@ from .geometry import (
     spectral_inner,
     to_spectrum,
 )
-from .quantization import DEDUP_TOLERANCE, blowup_candidates, forbidden_window
+from .quantization import DEDUP_TOLERANCE, ROUND_OFF, blowup_candidates, forbidden_window
 
 
 # Hessian-vector products per Newton step at most (the inner CG cap)
@@ -240,11 +240,13 @@ def pde_residual(problem: str, u: Sequence[GridField], h, rho: RhoPair,
 def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
                            singular: SingularData) -> None:
     """Require the 2-nu box around rho_center to avoid the named problem's
-    forbidden set; raises naming the offending line or point."""
+    forbidden set; raises naming the offending line or point.  The listed
+    values are rounded to 12 digits, so an element within `ROUND_OFF` of the
+    box's edge counts as inside it."""
     r1, r2 = rho_center.rho1, rho_center.rho2
-    reach = 2.0 * nu
-    # the tests below read reported, rounded values: reach past round-off
-    pad = reach + DEDUP_TOLERANCE
+    reach = 2.0 * nu + ROUND_OFF
+    # pad the window past reach, so that merging at its edge drops no value within reach
+    pad = 2.0 * nu + DEDUP_TOLERANCE
     gs = forbidden_window(problem, singular, (r1 - pad, r2 - pad), (r1 + pad, r2 + pad))
     crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= reach)
     if crossed1.size:

@@ -135,9 +135,8 @@ def test_criterion_04_transport_distance_scales_inversely():
     h = torus.constant_field(1.0)
     zeta = join_element(torus, 1, 1, 0.5)
     lambdas = np.geomspace(10.0, 1000.0, 9)
-    slopes = [kr_scaling_check(torus, zeta, lambdas, component, h, h,
-                               fit_floor=10.0).slope
-              for component in (1, 2)]
+    slopes = [curve.slope for curve in kr_scaling_check(torus, zeta, lambdas, (1, 2), h, h,
+                                                        fit_floor=10.0)]
     ok = all(abs(s - (-1.0)) <= 0.15 for s in slopes)
     certify(4, "KR scaling", ok,
             f"slopes {slopes[0]:.3f}, {slopes[1]:.3f} within -1 +/- 0.15",

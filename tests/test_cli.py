@@ -324,6 +324,26 @@ class TestSubcommands:
         assert report["worst_displacement"] < 0.25
         assert report["worst_r_deviation"] < 0.25
 
+    KR_CONFIG = {**SMALL_GRID, "r": 0.5, "subsamples": 2,
+                 "lambdas": {"start": 10.0, "stop": 1000.0, "count": 4}}
+
+    def test_kr_scaling_with_a_bad_component_exits_3(self, tmp_path):
+        cfg = write_config(tmp_path, {**self.KR_CONFIG, "components": [1, 3]})
+        out = tmp_path / "out"
+        assert main(["kr-scaling", "--config", cfg, "--out", str(out)]) == 3
+        assert not (out / "kr.csv").exists()
+
+    def test_kr_scaling_repeats_a_repeated_component(self, tmp_path):
+        outs = []
+        for components in ([1], [1, 1]):
+            cfg = write_config(tmp_path, {**self.KR_CONFIG, "components": components})
+            outs.append(tmp_path / f"out{len(components)}")
+            assert main(["kr-scaling", "--config", cfg, "--out", str(outs[-1])]) == 0
+        once, twice = ((out / "kr.csv").read_text().splitlines() for out in outs)
+        assert once[0] == "component,lambda,scale1,scale2,distance"
+        assert twice == once + once[1:]
+        assert (outs[1] / "kr.json").read_text() == (outs[0] / "kr.json").read_text()
+
 
 class TestDeterminism:
     MT_CONFIG = {**SMALL_GRID, "lambdas": [10.0, 100.0], "subsamples": 2,

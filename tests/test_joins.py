@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusvar.functionals import RhoPair, toda_energy
+from torusvar import joins
+from torusvar.functionals import RhoPair, normalized_density, toda_energy
 from torusvar.geometry import CurveSystem, FlatTorus, Point, subcell_offsets
 from torusvar.joins import (
     JoinElement,
@@ -19,7 +20,7 @@ from torusvar.joins import (
 )
 from torusvar.joins import _log_bubble_sum
 from torusvar.joins import test_function as peak_pair
-from torusvar.measures import BarycenterMeasure
+from torusvar.measures import BarycenterMeasure, DiscreteMeasure, distance_to_barycenters
 
 CURVES = CurveSystem(0.25, 0.75)
 
@@ -49,6 +50,19 @@ def hypot_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
             d2 -= torus.L2 * np.round(d2 / torus.L2)
             d = np.hypot(d1[:, None], d2[None, :])
             mix += t / (1.0 + scale**2 * d**2) ** 2
+        acc += np.log(mix)
+    return acc / subsamples**2
+
+
+def per_offset_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
+                          subsamples: int) -> np.ndarray:
+    """Reference: the bubble sum with one squared distance field per atom and
+    sub-cell offset, in the package's order of operations."""
+    acc = np.zeros((torus.n, torus.n))
+    for offset in subcell_offsets(torus, subsamples):
+        mix = np.zeros((torus.n, torus.n))
+        for t, p in sigma.atoms:
+            mix += t / (1.0 + scale**2 * torus.squared_distance_field(p, offset)) ** 2
         acc += np.log(mix)
     return acc / subsamples**2
 
@@ -89,6 +103,18 @@ class TestTestFunction:
         v2 = hypot_bubble_sum(torus, zeta.sigma2, s2, 8)
         for actual, expected in zip(peak_pair(torus, zeta, lam), (v1 - 0.5 * v2, -0.5 * v1 + v2)):
             assert np.abs(actual.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("torus", (FlatTorus(32, 2.0, 0.5),
+                                       FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0))),
+                             ids=("2x0.5", "irrational"))
+    @pytest.mark.parametrize("subsamples", (1, 3, 8))
+    def test_rows_give_the_per_offset_sum_bit_for_bit(self, torus, subsamples):
+        rng = np.random.default_rng(5)
+        points = [torus.point(a1 * torus.L1, a2 * torus.L2) for a1, a2 in rng.uniform(size=(3, 2))]
+        sigma = BarycenterMeasure.of([0.5, 0.3, 0.2], points)
+        for scale in (3.7, 120.0, 2500.0):
+            assert np.array_equal(_log_bubble_sum(torus, sigma, scale, subsamples),
+                                  per_offset_bubble_sum(torus, sigma, scale, subsamples))
 
     def test_zero_scale_gives_an_exact_zero(self, torus64):
         sigma = join_at(torus64, 0.5, k=2).sigma1
@@ -228,9 +254,9 @@ class TestProjection:
 class TestKrScalingCheck:
     def test_slope_is_near_inverse_scale(self, torus64):
         h = torus64.constant_field(1.0)
-        curve = kr_scaling_check(torus64, join_at(torus64, 0.5),
-                                 np.geomspace(10.0, 1000.0, 5), 1, h, h,
-                                 subsamples=4)
+        [curve] = kr_scaling_check(torus64, join_at(torus64, 0.5),
+                                   np.geomspace(10.0, 1000.0, 5), (1,), h, h,
+                                   subsamples=4)
         assert curve.slope == pytest.approx(-1.0, abs=0.3)
 
     def test_two_atom_slopes_are_inverse_scale(self):
@@ -238,22 +264,60 @@ class TestKrScalingCheck:
         torus = FlatTorus(128)
         h = torus.constant_field(1.0)
         zeta = join_at(torus, 0.5, 2, 2)
-        for component in (1, 2):
-            curve = kr_scaling_check(torus, zeta, np.geomspace(10.0, 1000.0, 5),
-                                     component, h, h)
+        for curve in kr_scaling_check(torus, zeta, np.geomspace(10.0, 1000.0, 5),
+                                      (1, 2), h, h):
             assert curve.slope == pytest.approx(-1.0, abs=0.15)
 
     def test_rejects_bad_component(self, torus64):
         h = torus64.constant_field(1.0)
         with pytest.raises(ValueError):
             kr_scaling_check(torus64, join_at(torus64, 0.5),
-                             np.geomspace(10.0, 1000.0, 5), 3, h, h)
+                             np.geomspace(10.0, 1000.0, 5), (3,), h, h)
 
     def test_degenerate_component_falls_back_to_a_flat_fit(self, torus64):
         # at r = 0 the second density never concentrates; its distance curve is
         # scale-free, so the fallback fit against log lambda sits near zero
         h = torus64.constant_field(1.0)
-        curve = kr_scaling_check(torus64, join_at(torus64, 0.0),
-                                 np.geomspace(10.0, 1000.0, 5), 2, h, h,
-                                 subsamples=2)
+        [curve] = kr_scaling_check(torus64, join_at(torus64, 0.0),
+                                   np.geomspace(10.0, 1000.0, 5), (2,), h, h,
+                                   subsamples=2)
         assert abs(curve.slope) < 0.2
+
+    def test_distances_are_those_of_one_peak_pair_per_lambda(self, torus32, monkeypatch):
+        h1 = torus32.field(1.0 + 0.3 * np.sin(2 * np.pi * torus32.grids()[0]))
+        h2 = torus32.constant_field(1.0)
+        zeta = join_at(torus32, 0.4, 2, 1)
+        lambdas = np.geomspace(10.0, 1000.0, 4)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return peak_pair(*args, **kwargs)
+
+        monkeypatch.setattr(joins, "test_function", counted)
+        curves = kr_scaling_check(torus32, zeta, lambdas, (1, 2), h1, h2, subsamples=2)
+        assert calls == list(lambdas)
+        for lam, d1, d2 in zip(lambdas, curves[0].values, curves[1].values):
+            phi1, phi2 = peak_pair(torus32, zeta, lam, 2)
+            for phi, h, capacity, d in ((phi1, h1, 2, d1), (phi2, h2, 1, d2)):
+                f = DiscreteMeasure.from_field(normalized_density(phi, h))
+                assert d == distance_to_barycenters(f, capacity)[0]
+
+    def test_bad_component_is_refused_before_any_synthesis(self, torus32, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized a peak pair")
+
+        monkeypatch.setattr(joins, "test_function", refuse)
+        h = torus32.constant_field(1.0)
+        with pytest.raises(ValueError, match="component must be 1 or 2, got 3"):
+            kr_scaling_check(torus32, join_at(torus32, 0.5),
+                             np.geomspace(10.0, 1000.0, 4), (1, 3), h, h)
+
+    def test_a_repeated_component_repeats_its_curve(self, torus32):
+        h = torus32.constant_field(1.0)
+        zeta = join_at(torus32, 0.5)
+        lambdas = np.geomspace(10.0, 1000.0, 4)
+        [single] = kr_scaling_check(torus32, zeta, lambdas, (1,), h, h, subsamples=2)
+        for curve in kr_scaling_check(torus32, zeta, lambdas, (1, 1), h, h, subsamples=2):
+            assert np.array_equal(curve.values, single.values)
+            assert curve.slope == single.slope

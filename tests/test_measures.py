@@ -24,7 +24,7 @@ from torusvar.measures import (
     push_forward,
     spread_mass_floor,
 )
-from torusvar.measures import _greedy_ball_centers, _k_median_cost, _voronoi_weights
+from torusvar.measures import _ball_kernel, _greedy_ball_centers, _k_median_cost, _voronoi_weights
 
 
 def reference_distance(torus: FlatTorus, a, b) -> float:
@@ -331,7 +331,9 @@ def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, Barycente
     return best_cost, sigma
 
 
-SEARCH_TORI = (FlatTorus(32), FlatTorus(32, 2.0, 0.5))
+# the third torus's spacings are not dyadic, so trial coordinates drift off-node
+SEARCH_TORI = (FlatTorus(32), FlatTorus(32, 2.0, 0.5), FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0)))
+SEARCH_IDS = ("square", "oblong", "irrational")
 bumps = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                            st.floats(0.0, 1.0, exclude_max=True),
                            st.floats(8.0, 60.0), st.floats(0.2, 1.0)),
@@ -352,7 +354,7 @@ class TestIncrementalSearch:
         assert cost == expected_cost
         assert sigma == expected_sigma
 
-    @pytest.mark.parametrize("torus", SEARCH_TORI, ids=("square", "oblong"))
+    @pytest.mark.parametrize("torus", SEARCH_TORI, ids=SEARCH_IDS)
     def test_matches_the_per_budget_seeding_when_the_capture_runs_out(self, torus):
         # two occupied nodes: the greedy capture takes all mass in two rounds,
         # so budgets 3 and 4 get no further seeds
@@ -378,6 +380,68 @@ class TestIncrementalSearch:
         seeds = _greedy_ball_centers(mu, k, radius)
         for budget in range(1, k + 1):
             assert _greedy_ball_centers(mu, budget, radius) == seeds[:budget]
+
+
+def complex_ball_masses(density: np.ndarray, kernel: np.ndarray, cell_area: float) -> np.ndarray:
+    """Reference: ball masses by circular convolution on complex FFTs, rounded
+    to 12 decimals as in the package."""
+    conv = np.fft.ifft2(np.fft.fft2(density) * np.fft.fft2(kernel)).real * cell_area
+    return np.round(conv, 12)
+
+
+def complex_greedy_centers(measure: DiscreteMeasure, rounds: int, radius: float) -> list[Point]:
+    """Reference copy of the greedy ball capture on complex-FFT ball masses."""
+    torus = measure.torus
+    kernel = _ball_kernel(torus, radius)
+    density = measure.density.copy()
+    centers: list[Point] = []
+    for _ in range(rounds):
+        if density.sum() * torus.cell_area < 1e-15:
+            break
+        bm = complex_ball_masses(density, kernel, torus.cell_area)
+        i, j = np.unravel_index(int(np.argmax(bm)), bm.shape)
+        centers.append(torus.node_point(i, j))
+        density[torus.distance_field(centers[-1]) <= radius] = 0.0
+    return centers
+
+
+def complex_spread_points(f: DiscreteMeasure, m: int, eps: float, s: float):
+    """Reference copy of `detect_spread` on complex-FFT ball masses."""
+    torus = f.torus
+    covered = np.zeros((torus.n, torus.n), dtype=bool)
+    for z in complex_greedy_centers(f, m, s):
+        covered |= torus.distance_field(z) <= s
+    if float(f.density[covered].sum() * torus.cell_area) >= 1.0 - eps:
+        return None
+    bm = complex_ball_masses(f.density, _ball_kernel(torus, s / 4.0), torus.cell_area)
+    allowed = np.ones((torus.n, torus.n), dtype=bool)
+    points: list[Point] = []
+    for _ in range(m):
+        i, j = np.unravel_index(int(np.argmax(np.where(allowed, bm, -np.inf))), bm.shape)
+        points.append(torus.node_point(i, j))
+        allowed &= torus.distance_field(points[-1]) >= 4.0 * (s / 4.0)
+        if not allowed.any() and len(points) < m:
+            return "too small"
+    return points
+
+
+class TestRealFftBallMasses:
+    @settings(max_examples=100, deadline=None)
+    @given(torus_index=st.sampled_from(range(len(SEARCH_TORI))), spec=bumps,
+           m=st.integers(1, 4), eps=st.floats(0.01, 0.5), s=st.floats(0.05, 0.3))
+    def test_picks_the_nodes_of_complex_ffts(self, torus_index, spec, m, eps, s):
+        torus = SEARCH_TORI[torus_index]
+        density = sum(w * bump_density(torus, Point(u1 * torus.L1, u2 * torus.L2), lam).density
+                      for u1, u2, lam, w in spec)
+        mu = DiscreteMeasure(torus, density).normalized()
+        radius = 2.0 * torus.max_spacing
+        assert _greedy_ball_centers(mu, m, radius) == complex_greedy_centers(mu, m, radius)
+        try:
+            points = detect_spread(mu, m, eps, s)
+        except ValueError as exc:
+            assert "too small to separate" in str(exc)
+            points = "too small"
+        assert points == complex_spread_points(mu, m, eps, s)
 
 
 def dense_to_atoms_lp(f: DiscreteMeasure, sigma: BarycenterMeasure) -> float:

@@ -267,17 +267,19 @@ def nearest_element(gs, rho):
 
 def filtered_box_message(center, nu, singular):
     """Reference: the continuation check as a filter over the whole set
-    enumerated up to the 2-nu box, with the check's messages."""
+    enumerated up to the 2-nu box, with the check's messages; the listed
+    values are rounded, so an element within ROUND_OFF of the box counts."""
     r1, r2 = center.rho1, center.rho2
+    reach = 2.0 * nu + ROUND_OFF
     gs = global_lambda(singular, (r1 + 2.0 * nu, r2 + 2.0 * nu))
-    crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= 2.0 * nu)
+    crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= reach)
     if crossed1.size:
         return f"continuation box crosses the vertical line rho1 = {gs.lambda1[crossed1[0]]:.6f}"
-    crossed2 = np.flatnonzero(np.abs(r2 - gs.lambda2) <= 2.0 * nu)
+    crossed2 = np.flatnonzero(np.abs(r2 - gs.lambda2) <= reach)
     if crossed2.size:
         return ("continuation box crosses the horizontal line rho2 = "
                 f"{gs.lambda2[crossed2[0]]:.6f}")
-    contained = np.flatnonzero(np.all(np.abs((r1, r2) - gs.lambda0) <= 2.0 * nu, axis=1))
+    contained = np.flatnonzero(np.all(np.abs((r1, r2) - gs.lambda0) <= reach, axis=1))
     if contained.size:
         return ("continuation box contains the forbidden point "
                 f"{tuple(gs.lambda0[contained[0]].tolist())}")
@@ -460,9 +462,11 @@ class TestScalarTables:
     def test_matches_the_retired_scalar_rules(self, weights, rho, tol, nu):
         # The common checks read the listed line values, 8 pi n rounded to 12
         # digits as for Toda, while the retired rules read 8 pi n itself: the
-        # two may differ only where a gap is within round-off of tol or 2 nu.
+        # two may differ only where a gap is within round-off of tol, or, since
+        # the box check reaches ROUND_OFF past 2 nu, within twice that above 2 nu.
         gaps = [nearest_scalar_line(v)[1] for v in rho]
-        assume(all(abs(gap - edge) > ROUND_OFF for gap in gaps for edge in (tol, 2 * nu)))
+        assume(all(abs(gap - tol) > ROUND_OFF and not 0 < gap - 2 * nu <= 2 * ROUND_OFF
+                   for gap in gaps))
         # marked points do not move the mean-field lines
         singular, center = marked(weights), RhoPair(*rho)
         report = global_membership(center, singular, tol, "meanfield")

@@ -510,6 +510,16 @@ class TestContinuation:
         with pytest.raises(ValueError, match=r"vertical line rho1 = 25\.132741$"):
             check_continuation_box("meanfield", RhoPair(8 * np.pi, 1.0), 0.5, EMPTY)
 
+    @pytest.mark.parametrize("problem, center, message", (
+        ("meanfield", RhoPair(0.0, float(8 * np.pi)), r"horizontal line rho2 = 25\.132741$"),
+        ("toda", RhoPair(float(4 * np.pi), 1.0), r"vertical line rho1 = 12\.566371$"),
+    ), ids=("meanfield", "toda"))
+    def test_a_line_within_round_off_of_a_zero_box_is_refused(self, problem, center, message):
+        # the listed lines are rounded to 12 digits, 3.5e-13 and 1.7e-13 from
+        # float(8 pi) and float(4 pi): the box check reaches ROUND_OFF past 2 nu
+        with pytest.raises(ValueError, match=message):
+            check_continuation_box(problem, center, 0.0, EMPTY)
+
     def test_sweep_converges_with_continuous_energies(self, aniso_weights):
         nu = np.pi / 2
         results = continuation_sweep("toda", RhoPair(2 * np.pi, 2 * np.pi), nu, 5,
