@@ -187,13 +187,11 @@ def _lambda_grid(config) -> list[float]:
         _expect(config, "count", _count, 9)))
 
 
-# top-level keys only some subcommands read, echoed into the manifest as given
+# top-level keys only some subcommands read, echoed into the manifest as given;
+# every other accepted key is one that `ExperimentConfig.load` resolves
 OPTION_KEYS = ("problem", "initial", "components", "r_values", "lam", "box", "rho_samples",
                "nu", "steps", "subsamples", "fit_floor", "random_fields", "mass_centers",
                "mass_radius")
-# keys every run reads, and retired keys that are still accepted and ignored
-KNOWN_KEYS = ("grid", "curves", "singular", "solver", "h", "h2", "rho", "lambdas", "tol",
-              "k", "l", "r", "seed", "threads") + OPTION_KEYS + ("coarse_n",)
 
 
 @dataclass(frozen=True)
@@ -229,9 +227,6 @@ class ExperimentConfig:
 
         if "alpha" in raw:
             raise ConfigError("config key 'alpha' is retired: give 'singular' points instead")
-        unknown = sorted(set(raw) - set(KNOWN_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
         grid, curves_raw, singular_raw, solver_raw = (
             _expect(raw, key, _section, {}) for key in ("grid", "curves", "singular", "solver"))
         h_config = _expect(raw, "h", _section, {"profile": "constant"})
@@ -274,6 +269,10 @@ class ExperimentConfig:
         for key in OPTION_KEYS:
             if key in raw:
                 resolved[key] = raw[key]
+        # the retired "coarse_n" is still accepted, and ignored
+        unknown = sorted(set(raw) - set(resolved) - {"coarse_n"})
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
         if not 0.0 <= resolved["r"] <= 1.0:
             raise ConfigError(f"join coordinate r must lie in [0, 1], got {resolved['r']}")
         if resolved["k"] < 1 or resolved["l"] < 1:

@@ -17,6 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import fft as sp_fft
 
+ROW_CACHE_SIZE = 1024  # rows kept by `FlatTorus.squared_displacement_row`: 2 MiB at n = 256
+
 
 class Point(NamedTuple):
     """A point on the torus; coordinates are kept reduced to [0, L1) x [0, L2)."""
@@ -101,17 +103,26 @@ class FlatTorus:
         return (self.squared_displacement_row(0, p.x1, offset[0])[:, None]
                 + self.squared_displacement_row(1, p.x2, offset[1])[None, :])
 
-    def squared_displacement_row(self, axis: int, coordinate: float,
-                                 offset: float = 0.0) -> np.ndarray:
+    @lru_cache(maxsize=ROW_CACHE_SIZE)
+    def squared_displacement_row(self, axis: int, coordinate: float, offset: float) -> np.ndarray:
         """Squared minimum-image displacements (node + offset - coordinate)^2
-        along one axis (0 for x1, 1 for x2), one entry per node index."""
+        along one axis (0 for x1, 1 for x2), one entry per node index.  The
+        package's one cached distance primitive: the last `ROW_CACHE_SIZE`
+        rows are kept, shared by every caller and read-only."""
         length = (self.L1, self.L2)[axis]
         d = _min_image(np.arange(self.n) * self.spacing[axis] + offset - coordinate, length)
-        return d * d
+        d *= d
+        d.flags.writeable = False
+        return d
 
-    def displacement(self, a: np.ndarray, b: np.ndarray, axis_length: float) -> np.ndarray:
-        """Signed minimum-image displacement a - b along one axis (vectorized)."""
-        return (np.asarray(a) - np.asarray(b) + axis_length / 2.0) % axis_length - axis_length / 2.0
+    def pairwise_distance(self, a, b) -> np.ndarray:
+        """K x M distances from each of K points in a to each of M in b (Points
+        or coordinate rows); entry by entry `distance`, so swapping a and b
+        transposes the result bit for bit."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        d1 = _min_image(a[:, None, 0] - b[None, :, 0], self.L1)
+        d2 = _min_image(a[:, None, 1] - b[None, :, 1], self.L2)
+        return np.hypot(d1, d2)
 
     # ----- fields -----------------------------------------------------------
 
@@ -166,9 +177,6 @@ class GridField:
             raise ValueError(f"field shape {self.values.shape} does not match grid {(n, n)}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-    def copy(self) -> "GridField":
-        return GridField(self.torus, self.values.copy())
 
 
 @dataclass(frozen=True)

@@ -96,27 +96,23 @@ def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
     At scale 0 every bubble is identically 1 and the weights sum to 1, so the
     result is exactly zero — the join's endpoint degeneracy, bit for bit.
 
-    Each squared distance is the sum of two per-axis rows
-    (`FlatTorus.squared_displacement_row`), so every atom's rows are built once
-    per sub-cell offset along each axis, and each offset is scored in place
+    Each squared distance is the sum of two per-axis rows from the cached
+    `FlatTorus.squared_displacement_row`, so an atom's row for a sub-cell
+    offset along an axis is built once, and each offset is scored in place
     with the same operations, in the same order, as the per-offset formula."""
     n = torus.n
     if scale == 0.0:
         return np.zeros((n, n))
-    # subcell_offsets lists (o1, o2) with o1 in the outer loop
-    offsets = subcell_offsets(torus, subsamples)
-    axis_offsets = ([o1 for o1, _ in offsets[::subsamples]], [o2 for _, o2 in offsets[:subsamples]])
-    rows = [[[torus.squared_displacement_row(axis, p[axis], o) for o in axis_offsets[axis]]
-             for axis in (0, 1)] for _, p in sigma.atoms]
     scale2 = scale**2
     acc = np.zeros((n, n))
     mix = np.empty((n, n))
     term = np.empty((n, n))
-    for a, b in np.ndindex(subsamples, subsamples):
+    for o1, o2 in subcell_offsets(torus, subsamples):
         mix.fill(0.0)
-        for (t, _), (rows1, rows2) in zip(sigma.atoms, rows):
+        for t, p in sigma.atoms:
             # t / (1 + scale^2 d^2)^2
-            np.add(rows1[a][:, None], rows2[b][None, :], out=term)
+            np.add(torus.squared_displacement_row(0, p.x1, o1)[:, None],
+                   torus.squared_displacement_row(1, p.x2, o2)[None, :], out=term)
             np.multiply(scale2, term, out=term)
             np.add(1.0, term, out=term)
             np.square(term, out=term)

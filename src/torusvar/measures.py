@@ -19,7 +19,10 @@ The projection's distance is the k-median cost of its Voronoi-weighted atoms:
 exact for the returned measure, an upper bound for the k-atom set.  Its local
 search moves one center at a time against the running minimum of the cap and
 the other centers' distance fields; a trial's field is the square root of the
-sum of two cached per-axis rows, scored in place.
+sum of two per-axis rows, which `FlatTorus.squared_displacement_row` caches
+across calls, scored in place.  Every distance comes from `geometry`: fields
+and rows from `FlatTorus`, point-set distances from
+`FlatTorus.pairwise_distance`.
 """
 
 from __future__ import annotations
@@ -153,12 +156,6 @@ def _support(measure: Measure) -> tuple[np.ndarray, np.ndarray]:
     return pts, measure.density[nz] * measure.torus.cell_area
 
 
-def _pairwise_distance(torus: FlatTorus, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d1 = torus.displacement(a[:, None, 0], b[None, :, 0], torus.L1)
-    d2 = torus.displacement(a[:, None, 1], b[None, :, 1], torus.L2)
-    return np.hypot(d1, d2)
-
-
 def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
                   pts_b: np.ndarray, w_b: np.ndarray) -> float:
     """Exact min-cost transport between two finite supports (sparse LP)."""
@@ -166,7 +163,7 @@ def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
     from scipy import sparse
     from scipy.optimize import linprog
 
-    cost = np.minimum(_pairwise_distance(torus, pts_a, pts_b), 2.0)
+    cost = np.minimum(torus.pairwise_distance(pts_a, pts_b), 2.0)
     m, n = cost.shape
     row_sums = sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n)), format="csr")
     col_sums = sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr"), format="csr")
@@ -200,7 +197,7 @@ def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> Tr
         torus = FlatTorus(16)  # atomic-only instances only need the (unit) periods
     for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
         if len(pts_one) == 1:
-            d = np.minimum(_pairwise_distance(torus, pts_many, pts_one)[:, 0], 2.0)
+            d = np.minimum(torus.pairwise_distance(pts_many, pts_one)[:, 0], 2.0)
             return TransportResult(float((w_many * d).sum()), 0.0, "closed-form")
     if len(w_a) * len(w_b) > LP_ENTRY_LIMIT:
         raise ValueError(f"a transport plan between {len(w_a)} and {len(w_b)} support points "
@@ -282,10 +279,11 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     While center i moves, the minimum of the cap 2 and the other centers'
     distance fields is fixed, so a trial costs one elementwise minimum and one
     weighted sum into a reused buffer, plus its distance field: the square
-    root of the sum of two per-axis squared-displacement rows, cached per call
-    by coordinate, which is `FlatTorus.distance_field` operation for
-    operation.  min is exact, so every trial cost equals `_k_median_cost` of
-    the trial centers bit for bit.
+    root of the sum of two cached per-axis rows
+    (`FlatTorus.squared_displacement_row`), which is
+    `FlatTorus.distance_field` operation for operation.  min is exact, so the
+    starting cost (from the seed centers' fields) and every trial cost equal
+    `_k_median_cost` of their centers bit for bit.
     Candidates are built for every atom budget up to k and the best kept, so
     the result is monotone in k; budget b starts from the first b centers of
     one k-round greedy capture, which are the centers a b-round capture
@@ -298,14 +296,6 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
         raise ValueError(f"measure must have unit mass, got {mu.mass()}")
     torus = mu.torus
     h1, h2 = torus.spacing
-    rows: dict[tuple[int, float], np.ndarray] = {}
-
-    def row(axis: int, coordinate: float) -> np.ndarray:
-        key = (axis, coordinate)
-        if key not in rows:
-            rows[key] = torus.squared_displacement_row(axis, coordinate)
-        return rows[key]
-
     others = np.empty((torus.n, torus.n))
     trial_cost = np.empty((torus.n, torus.n))
     best_cost = np.inf
@@ -313,8 +303,9 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     seeds = _greedy_ball_centers(mu, k, radius=2.0 * torus.max_spacing)
     for budget in range(1, len(seeds) + 1):
         centers = seeds[:budget]
-        cost = _k_median_cost(mu, centers)
         fields = [torus.distance_field(z) for z in centers]
+        # _k_median_cost of the seed centers, from their fields
+        cost = float((mu.density * np.minimum.reduce(fields, initial=2.0)).sum() * torus.cell_area)
         moved = True
         guard = 0
         while moved and guard < 200:
@@ -330,7 +321,8 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
                     z = centers[idx]
                     trial = torus.point(z.x1 + di * h1, z.x2 + dj * h2)
                     # torus.distance_field(trial), from cached rows
-                    field = row(0, trial.x1)[:, None] + row(1, trial.x2)[None, :]
+                    field = (torus.squared_displacement_row(0, trial.x1, 0.0)[:, None]
+                             + torus.squared_displacement_row(1, trial.x2, 0.0)[None, :])
                     np.sqrt(field, out=field)
                     np.minimum(others, field, out=trial_cost)
                     trial_cost *= mu.density
@@ -349,22 +341,21 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
 
 # ----- covering construction --------------------------------------------------
 
-def _cover_sublattice(torus: FlatTorus, radius: float) -> tuple[list[Point], int]:
+def _cover_sublattice(torus: FlatTorus, radius: float) -> list[Point]:
     """Grid-node sub-lattice whose closed radius balls cover the torus."""
     h1, h2 = torus.spacing
     m1 = max(1, int(np.sqrt(2.0) * radius / h1))
     m2 = max(1, int(np.sqrt(2.0) * radius / h2))
     idx1 = range(0, torus.n, m1)
     idx2 = range(0, torus.n, m2)
-    centers = [torus.node_point(i, j) for i in idx1 for j in idx2]
-    return centers, len(centers)
+    return [torus.node_point(i, j) for i in idx1 for j in idx2]
 
 
 def covering_thresholds(torus: FlatTorus, delta: float, theta: float) -> tuple[float, float, int]:
     """The derived constants (delta_bar, theta_bar, cover size H) promised by the
     merging construction: delta_bar = delta/8, theta_bar = min(theta/H, ball area)."""
     delta_bar = delta / 8.0
-    _, count = _cover_sublattice(torus, delta_bar)
+    count = len(_cover_sublattice(torus, delta_bar))
     ball_nodes = int((torus.distance_field(torus.node_point(0, 0)) <= delta_bar).sum())
     ball_area = ball_nodes * torus.cell_area
     return delta_bar, min(theta / count, ball_area), count
@@ -380,15 +371,6 @@ class CoveringResult:
     component1_indices: tuple[int, ...]  # sets guaranteed to carry f1 mass >= theta_bar
     component2_indices: tuple[int, ...]  # same for f2
 
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __getitem__(self, i):
-        return self.sets[i]
-
 
 def _set_mass(f: DiscreteMeasure, nodes: Sequence[Point]) -> float:
     torus = f.torus
@@ -400,12 +382,6 @@ def _set_mass(f: DiscreteMeasure, nodes: Sequence[Point]) -> float:
             seen.add(ij)
             total += f.density[ij] * torus.cell_area
     return total
-
-
-def _set_distance(torus: FlatTorus, a: Sequence[Point], b: Sequence[Point]) -> float:
-    pa = np.array([[p.x1, p.x2] for p in a])
-    pb = np.array([[p.x1, p.x2] for p in b])
-    return float(_pairwise_distance(torus, pa, pb).min())
 
 
 def _ball_nodes(torus: FlatTorus, center: Point, radius: float) -> tuple[Point, ...]:
@@ -433,7 +409,7 @@ def covering_merge(omegas1: Sequence[Sequence[Point]], omegas2: Sequence[Sequenc
     for fam_idx, (family, f) in enumerate(zip(families, densities), start=1):
         for a in range(len(family)):
             for b in range(a + 1, len(family)):
-                d = _set_distance(torus, family[a], family[b])
+                d = float(torus.pairwise_distance(family[a], family[b]).min())
                 if d < delta:
                     raise ValueError(
                         f"family {fam_idx} sets {a} and {b} are {d:.4g} apart (< delta={delta})")
@@ -443,8 +419,7 @@ def covering_merge(omegas1: Sequence[Sequence[Point]], omegas2: Sequence[Sequenc
                 raise ValueError(
                     f"family {fam_idx} set {a} carries mass {mass:.4g} (< theta={theta})")
 
-    cover_centers, _ = _cover_sublattice(torus, delta_bar)
-    cover_pts = np.array([[p.x1, p.x2] for p in cover_centers])
+    cover_centers = _cover_sublattice(torus, delta_bar)
     kernel_hat = np.fft.rfft2(_ball_kernel(torus, delta_bar))
 
     def pick_centers(family: tuple, f: DiscreteMeasure) -> list[Point]:
@@ -452,8 +427,7 @@ def covering_merge(omegas1: Sequence[Sequence[Point]], omegas2: Sequence[Sequenc
         masses = np.array([all_masses[torus.nearest_node(c)] for c in cover_centers])
         picked = []
         for omega in family:
-            opts = np.array([[p.x1, p.x2] for p in omega])
-            dists = _pairwise_distance(torus, cover_pts, opts).min(axis=1)
+            dists = torus.pairwise_distance(cover_centers, omega).min(axis=1)
             eligible = dists <= delta_bar
             if not eligible.any():
                 raise ValueError("covering sub-lattice failed to reach a set (internal)")
@@ -499,8 +473,7 @@ def spread_mass_floor(torus: FlatTorus, m: int, eps: float, s: float) -> float:
     """Guaranteed per-ball mass for the spread branch: if m radius-s balls cannot
     capture 1-eps of the mass, each greedily chosen radius-s/4 ball (with centers
     4*(s/4)-separated) holds more than eps divided by the s/4-cover size."""
-    _, count = _cover_sublattice(torus, s / 4.0)
-    return eps / count
+    return eps / len(_cover_sublattice(torus, s / 4.0))
 
 
 def _concentration_centers(f: DiscreteMeasure, m: int, radius: float) -> tuple[float, list[Point]]:

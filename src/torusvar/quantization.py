@@ -291,7 +291,9 @@ def blowup_candidates(singular: SingularData, point_index: Optional[int] = None,
     """Reference table of candidate blow-up mass pairs at a marked point, or at
     a regular point when no index is given: for "toda", 2 pi times the local
     set (origin excluded); for "meanfield", all pairs of 8 pi n (n = 1..5) and,
-    at a marked point, 4 pi (1 + alpha1)."""
+    at a marked point, 8 pi (1 + alpha1): the single-bubble mass where the
+    desingularized weight vanishes like d^(2 alpha1), so weight 0 gives the
+    regular table."""
     if point_index is None:
         alpha1 = alpha2 = 0.0
     else:
@@ -304,7 +306,8 @@ def blowup_candidates(singular: SingularData, point_index: Optional[int] = None,
         return tuple((2.0 * np.pi * p[0], 2.0 * np.pi * p[1]) for p in local.nonzero_points())
     if problem == "meanfield":
         values = [8.0 * np.pi * n for n in range(1, 6)]
-        if point_index is not None:
-            values.append(4.0 * np.pi * (1.0 + alpha1))
+        marked = 8.0 * np.pi * (1.0 + alpha1)
+        if point_index is not None and marked not in values:
+            values.append(marked)
         return tuple((v, w) for v in values for w in values)
     raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")

@@ -28,6 +28,8 @@ from torusvar.geometry import (
 from torusvar.functionals import q_density
 
 TWO_PI = 2.0 * np.pi
+DISTANCE_TORI = pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5)),
+                                        ids=("square", "2x0.5"))
 
 
 def trig_field(torus: FlatTorus, k1: int, k2: int) -> GridField:
@@ -90,8 +92,7 @@ class TestFlatTorus:
             q = torus32.node_point(i, j)
             assert field[i, j] == pytest.approx(torus32.distance(p, q), abs=1e-14)
 
-    @pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5)),
-                             ids=("square", "2x0.5"))
+    @DISTANCE_TORI
     def test_distance_fields_match_a_hypot_reference(self, torus):
         rng = np.random.default_rng(11)
         x1, x2 = torus.axes()
@@ -109,13 +110,35 @@ class TestFlatTorus:
                 np.testing.assert_array_max_ulp(torus.squared_distance_field(p, (o1, o2)),
                                                 expected**2, 2)
 
-    @pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5)),
-                             ids=("square", "2x0.5"))
+    @DISTANCE_TORI
     def test_distance_field_is_symmetric_between_nodes_bit_for_bit(self, torus):
         rng = np.random.default_rng(12)
         for ia, ja, ib, jb in rng.integers(0, torus.n, (20, 4)):
             a, b = torus.node_point(ia, ja), torus.node_point(ib, jb)
             assert torus.distance_field(a)[ib, jb] == torus.distance_field(b)[ia, ja]
+
+    @DISTANCE_TORI
+    def test_pairwise_distance_is_symmetric_and_matches_distance(self, torus):
+        rng = np.random.default_rng(13)
+        # off-grid points, some outside the fundamental domain
+        a = rng.uniform(-1.0, 2.0, (7, 2)) * (torus.L1, torus.L2)
+        b = rng.uniform(-1.0, 2.0, (5, 2)) * (torus.L1, torus.L2)
+        d = torus.pairwise_distance(a, b)
+        assert d.shape == (7, 5)
+        np.testing.assert_array_equal(d, torus.pairwise_distance(b, a).T)
+        np.testing.assert_array_equal(d, torus.pairwise_distance([Point(*p) for p in a], b))
+        for i, j in np.ndindex(d.shape):
+            assert d[i, j] == torus.distance(Point(*a[i]), Point(*b[j]))
+
+    @DISTANCE_TORI
+    def test_squared_displacement_rows_are_cached_and_read_only(self, torus):
+        row = torus.squared_displacement_row(1, 0.3, 0.01)
+        assert torus.squared_displacement_row(1, 0.3, 0.01) is row
+        assert row.shape == (torus.n,) and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        np.testing.assert_array_equal(torus.squared_distance_field(Point(0.2, 0.3), (0.0, 0.01))[0],
+                                      torus.squared_displacement_row(0, 0.2, 0.0)[0] + row)
 
     def test_field_from_function_averages_subcells(self, torus32):
         # a linear-in-cell function averages exactly to its midpoint value

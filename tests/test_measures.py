@@ -504,7 +504,7 @@ class TestCoveringMerge:
         omegas1, omegas2, f1, f2 = self.build_instance(torus64)
         delta, theta = 0.3, 0.2
         result = covering_merge(omegas1, omegas2, f1, f2, delta, theta)
-        assert len(result) == max(len(omegas1), len(omegas2))
+        assert len(result.sets) == max(len(omegas1), len(omegas2))
         assert result.delta_bar == pytest.approx(delta / 8)
         for a, b in itertools.combinations(result.sets, 2):
             assert set_distance(torus64, a, b) >= result.delta_bar - 1e-12

@@ -428,16 +428,19 @@ class TestScalarTables:
         assert report.witness == ("lambda1-line", (round(8 * np.pi, 12),))
 
     def test_blowup_value_formula(self):
-        # 4 pi (1 + alpha) at a marked point, next to every pair of 8 pi n, n = 1..5
+        # 8 pi (1 + alpha) at a marked point, next to every pair of 8 pi n, n = 1..5;
+        # a value already listed adds nothing, so weight 0 gives the regular table
         torus = FlatTorus(32)
         regular = set(blowup_candidates(SingularData.empty(), None, "meanfield"))
         assert regular == {(8 * np.pi * a, 8 * np.pi * b)
                            for a in range(1, 6) for b in range(1, 6)}
-        for alpha, value in ((0.0, 4 * np.pi), (1.5, 10 * np.pi)):
+        for alpha in (0.0, 1.0, 4.0):
             s = SingularData.of([(0.5, 0.5)], [alpha], [0.0], torus)
-            table = set(blowup_candidates(s, 0, "meanfield"))
-            assert len(table) == 36 and regular < table
-            assert any(c == pytest.approx((value, value)) for c in table)
+            assert set(blowup_candidates(s, 0, "meanfield")) == regular
+        s = SingularData.of([(0.5, 0.5)], [1.5], [0.0], torus)
+        table = set(blowup_candidates(s, 0, "meanfield"))
+        assert len(table) == 36 and regular < table
+        assert any(c == pytest.approx((20 * np.pi, 20 * np.pi)) for c in table)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -617,7 +617,7 @@ class TestBlowupMasses:
 
     def test_singular_weight_enters_the_scalar_table(self):
         # a profile concentrating at a marked point of weight alpha carries
-        # mass 4 pi (1 + alpha); the lookup table must offer that entry
+        # mass 8 pi (1 + alpha); the lookup table must offer that entry
         torus = FlatTorus(128)
         alpha = 1.5
         p = torus.snap(torus.point(0.5, 0.5))
@@ -626,7 +626,7 @@ class TestBlowupMasses:
         d = torus.distance_field(p)
         u = (torus.field(-2.0 * np.log1p((lam * d) ** (2.0 * (1.0 + alpha)))),)
         h = torus.constant_field(1.0)
-        target = 4.0 * np.pi * (1.0 + alpha)
+        target = 8.0 * np.pi * (1.0 + alpha)
         report = blowup_masses("meanfield", u, h, RhoPair(target, 1.0), [p], 0.2,
                                singular)[0]
         assert report.masses[0] > 0.9 * target
