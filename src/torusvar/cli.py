@@ -337,14 +337,15 @@ def _write_manifest(cfg: ExperimentConfig, subcommand: str) -> None:
 # ----- subcommands ----------------------------------------------------------------
 
 def _run_quantization(cfg: ExperimentConfig) -> int:
+    problem, _ = _problem_and_weights(cfg)
     pairs = list(zip(cfg.singular.alpha1, cfg.singular.alpha2)) or [(0.0, 0.0)]
     box = cfg.option("box", _pair, (40.0, 40.0))
     samples = [RhoPair(*p) for p in cfg.option("rho_samples", _list_of(_pair), [])]
-    gs = global_lambda(cfg.singular, box)
+    gs = global_lambda(cfg.singular, box, problem)
     report = {
         "local": [{"alpha": [a1, a2], "points": local_lambda(a1, a2).points}
                   for a1, a2 in pairs],
-        "candidates": blowup_candidates(cfg.singular),
+        "candidates": blowup_candidates(cfg.singular, problem=problem),
         "global": {
             "box": box,
             "lambda1": gs.lambda1,
@@ -354,7 +355,7 @@ def _run_quantization(cfg: ExperimentConfig) -> int:
     }
     membership = []
     for rho in samples:
-        verdict = global_membership(rho, cfg.singular, cfg.tol if cfg.tol else 1e-9)
+        verdict = global_membership(rho, cfg.singular, cfg.tol if cfg.tol else 1e-9, problem)
         membership.append({"rho": [rho.rho1, rho.rho2], "inside": verdict.inside,
                            "distance": verdict.nearest_distance,
                            "witness": verdict.witness})

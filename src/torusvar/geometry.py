@@ -354,15 +354,22 @@ def helmholtz_solve(torus: FlatTorus, rhs: np.ndarray, tau: float) -> np.ndarray
 
 def greens_function(torus: FlatTorus, p: Point) -> GridField:
     """Mean-zero G_p with -Laplacian(G_p) = delta_p^h - 1, where delta_p^h is the
-    grid delta (1/cell_area at the node nearest p, zero elsewhere)."""
-    i, j = torus.nearest_node(p)
+    grid delta (1/cell_area at the node nearest p, zero elsewhere); a copy."""
+    return GridField(torus, _greens_values(torus, torus.nearest_node(p)).copy())
+
+
+@lru_cache(maxsize=32)
+def _greens_values(torus: FlatTorus, node: tuple[int, int]) -> np.ndarray:
+    """`greens_function`'s values by nearest node, shared and read-only."""
     rhs = np.full((torus.n, torus.n), -1.0)
-    rhs[i, j] += 1.0 / torus.cell_area
+    rhs[node] += 1.0 / torus.cell_area
     denom = minus_laplacian_symbol(torus).copy()
     denom[0, 0] = 1.0
     ghat = to_spectrum(rhs) / denom
     ghat[0, 0] = 0.0
-    return GridField(torus, from_spectrum(torus, ghat))
+    values = from_spectrum(torus, ghat)
+    values.flags.writeable = False
+    return values
 
 
 def desingularized_weight(h: GridField, singular: SingularData, component: int) -> GridField:
@@ -376,7 +383,7 @@ def desingularized_weight(h: GridField, singular: SingularData, component: int) 
     log_factor = np.zeros_like(h.values)
     for p, alpha in zip(singular.points, alphas):
         if alpha != 0.0:
-            log_factor -= 4.0 * np.pi * alpha * greens_function(h.torus, p).values
+            log_factor -= 4.0 * np.pi * alpha * _greens_values(h.torus, h.torus.nearest_node(p))
     return GridField(h.torus, h.values * np.exp(log_factor))
 
 

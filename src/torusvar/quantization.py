@@ -15,17 +15,17 @@ the closure terminate.
 The global forbidden set combines local sets over the marked points with
 integer 4-pi lattices per component; `global_window` lists it inside a
 window, merging values within DEDUP_TOLERANCE into tolerance classes.  A
-membership query lists the window reaching 4 pi around the queried pair and
-returns the nearest element as a witness.  No element outside that window can
-be the nearest one: some 4-pi line lies within 2 pi of every non-negative
-coordinate, while every element outside the window is more than 4 pi away.
+membership query prints the nearest part of the window reaching 4 pi around
+the queried pair and returns its nearest element as a witness.  No element
+outside that window can be the nearest one: some 4-pi line lies within 2 pi
+of every non-negative coordinate, while every element outside it is farther.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +37,8 @@ ON_CURVE_TOLERANCE = 1e-12
 # sums of local points closer than this differ by round-off only (one sum added
 # up in two orders); merging them bounds the work and moves no reported value
 ROUND_OFF = 1e-12
+MEMBERSHIP_SLACK = 1e-8  # more than a point's printed distance can differ from its raw one
+SHIFT_ROW_LIMIT = 2**20  # shifts times local points in one growth step above this are refused
 
 
 def gamma_residual(s1: float, s2: float, alpha1: float, alpha2: float) -> float:
@@ -182,46 +184,66 @@ def _lattice(shifts: np.ndarray, low: float, high: float) -> tuple[np.ndarray, n
     return values, (values >= low) & (values <= high)
 
 
+@functools.lru_cache(maxsize=256)
 def _axis_values(alphas: tuple[float, ...], limit: float) -> np.ndarray:
     """All values 4 pi (n + sum_j (1 + alpha_j) n_j) up to `limit`, one per
-    tolerance class.  Offsets only grow, so those past the limit are dropped as
-    each weight is added."""
+    tolerance class, read-only.  Offsets only grow, so those past the limit are
+    dropped as each weight is added."""
     offsets = {0.0}
     for a in alphas:
         grown = {off + (1.0 + a) for off in offsets}
         offsets |= {off for off in grown if 4.0 * np.pi * off <= limit}
     values, inside = _lattice(2.0 * np.array(sorted(offsets)), 0.0, limit)
-    return _printed(_classes(values[inside])[0])
+    lines = _printed(_classes(values[inside])[0])
+    lines.flags.writeable = False
+    return lines
+
+
+def _top(high) -> tuple[float, ...]:
+    """A window's tops rounded up to multiples of 8 pi: one table serves nearby windows."""
+    return tuple(float(8.0 * np.pi * np.ceil(h / (8.0 * np.pi))) for h in high)
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_table(weights: tuple[tuple[float, float], ...], top: tuple[float, ...]) -> np.ndarray:
+    """The sums of local points, one per marked point or none (shifts), up to top / 2 pi,
+    read-only; a step past SHIFT_ROW_LIMIT rows raises ValueError before allocating."""
+    shifts = np.zeros((1, 2))
+    for a1, a2 in weights:
+        # row 0: this marked point contributes nothing
+        steps = np.vstack([np.zeros((1, 2)), np.array(local_lambda(a1, a2).points)])
+        if len(shifts) * len(steps) > SHIFT_ROW_LIMIT:
+            raise ValueError(f"{len(shifts)} x {len(steps)} shift rows exceed {SHIFT_ROW_LIMIT}")
+        grown = (shifts[:, None, :] + steps[None, :, :]).reshape(-1, 2)
+        grown = grown[np.all(2.0 * np.pi * grown <= top, axis=1)]
+        (x, cx), (y, cy) = _classes(grown[:, 0], ROUND_OFF), _classes(grown[:, 1], ROUND_OFF)
+        pairs = np.unique(cx * len(y) + cy)
+        shifts = np.column_stack((x[pairs // len(y)], y[pairs % len(y)]))
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _window(singular: SingularData, low, high) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per coordinate: lattice values of the shifts reaching the window, inside mask, classes."""
+    table = _shift_table(tuple(zip(singular.alpha1, singular.alpha2)), _top(high))
+    shifts = table[np.all(2.0 * np.pi * table <= high, axis=1)]
+    for k in (0, 1):
+        values, inside = _lattice(shifts[:, k], low[k], high[k])
+        codes = np.zeros(values.shape, dtype=np.intp)
+        lowest, codes[inside] = _classes(values[inside])
+        yield values, inside, lowest, codes
 
 
 def global_window(singular: SingularData, low: tuple[float, float],
                   high: tuple[float, float]) -> GlobalSet:
     """Enumerate the forbidden set inside [low1, high1] x [low2, high2].
 
-    Every local point lies in the closed positive quadrant, so a sum of local
-    points (a shift) only grows as marked points are added.  Shifts past the
-    window are dropped after each marked point, which bounds the work by the
-    window instead of the number of marked points.  A point is one pair of
-    classes, and a class is listed at its lowest value rounded to 12 digits,
-    so no two listed elements lie within DEDUP_TOLERANCE of each other."""
+    A point is one pair of classes, and a class is listed at its lowest value
+    rounded to 12 digits, so no two listed elements lie within DEDUP_TOLERANCE
+    of each other."""
     lines1 = _axis_values(singular.alpha1, high[0])
     lines2 = _axis_values(singular.alpha2, high[1])
-
-    shifts = np.zeros((1, 2))
-    for a1, a2 in zip(singular.alpha1, singular.alpha2):
-        # row 0: this marked point contributes nothing
-        steps = np.vstack([np.zeros((1, 2)), np.array(local_lambda(a1, a2).points)])
-        grown = (shifts[:, None, :] + steps[None, :, :]).reshape(-1, 2)
-        grown = grown[np.all(2.0 * np.pi * grown <= high, axis=1)]
-        (x, cx), (y, cy) = _classes(grown[:, 0], ROUND_OFF), _classes(grown[:, 1], ROUND_OFF)
-        pairs = np.unique(cx * len(y) + cy)
-        shifts = np.column_stack((x[pairs // len(y)], y[pairs % len(y)]))
-
-    xs, x_in = _lattice(shifts[:, 0], low[0], high[0])
-    ys, y_in = _lattice(shifts[:, 1], low[1], high[1])
-    cx, cy = np.zeros(xs.shape, dtype=np.intp), np.zeros(ys.shape, dtype=np.intp)
-    x, cx[x_in] = _classes(xs[x_in])
-    y, cy[y_in] = _classes(ys[y_in])
+    (_, x_in, x, cx), (_, y_in, y, cy) = _window(singular, low, high)
     which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
     pairs = np.unique(cx[which, i] * len(y) + cy[which, j])
     lambda0 = np.column_stack((_printed(x)[pairs // len(y)], _printed(y)[pairs % len(y)]))
@@ -244,9 +266,11 @@ def forbidden_window(problem: str, singular: SingularData, low: tuple[float, flo
     raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")
 
 
-def global_lambda(singular: SingularData, box: tuple[float, float]) -> GlobalSet:
-    """Enumerate the forbidden set inside [0, box1] x [0, box2] (+4 pi padding)."""
-    return global_window(singular, (0.0, 0.0), (box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi))
+def global_lambda(singular: SingularData, box: tuple[float, float],
+                  problem: str = "toda") -> GlobalSet:
+    """The named problem's forbidden set inside [0, box1] x [0, box2] (+4 pi padding)."""
+    return forbidden_window(problem, singular, (0.0, 0.0),
+                            (box[0] + 4.0 * np.pi, box[1] + 4.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -256,33 +280,41 @@ class MembershipReport:
     witness: tuple[str, tuple[float, ...]]
 
 
+def _toda_near_set(rho: RhoPair, singular: SingularData, low, high) -> GlobalSet:
+    """The Toda window [low, high] as listed, cut to the lines (all up to the table's
+    top) and the points within MEMBERSHIP_SLACK of rho's least raw distance."""
+    (xs, x_in, x, cx), (ys, y_in, y, cy) = _window(singular, low, high)
+    distances = np.hypot(np.where(x_in, np.abs(rho.rho1 - xs), np.inf)[:, :, None],
+                         np.where(y_in, np.abs(rho.rho2 - ys), np.inf)[:, None, :])
+    which, i, j = np.nonzero(distances <= distances.min() + MEMBERSHIP_SLACK)
+    points = np.column_stack((_printed(x[cx[which, i]]), _printed(y[cy[which, j]])))
+    lines = (_axis_values(a, top) for a, top in zip((singular.alpha1, singular.alpha2), _top(high)))
+    return GlobalSet(points[np.lexsort((points[:, 1], points[:, 0]))], *lines)
+
+
 def global_membership(rho: RhoPair, singular: SingularData, tol: float,
                       problem: str = "toda") -> MembershipReport:
     """Distance from rho to the named problem's forbidden set (lines by
     coordinate gap, isolated points by Euclidean distance) and the nearest
     witness element.  Ties go to the first element of lambda1, then lambda2,
-    then lambda0.  The window reaching 4 pi around rho holds the nearest
-    element when one lies that close, as a Toda line always does; otherwise
-    the window reaching 8 pi is listed, and it holds a mean-field line."""
+    then lambda0.  The nearest element lies in the window reaching 4 pi around
+    rho for "toda" (only its part near rho is printed) and 8 pi for "meanfield"."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    for reach in (4.0 * np.pi, 8.0 * np.pi):
-        gs = forbidden_window(problem, singular, (rho.rho1 - reach, rho.rho2 - reach),
-                              (rho.rho1 + reach, rho.rho2 + reach))
-        families = (
+    reach = 4.0 * np.pi if problem == "toda" else 8.0 * np.pi
+    low, high = (rho.rho1 - reach, rho.rho2 - reach), (rho.rho1 + reach, rho.rho2 + reach)
+    gs = (_toda_near_set(rho, singular, low, high) if problem == "toda"
+          else forbidden_window(problem, singular, low, high))
+    best = (np.inf, ("none", ()))
+    for kind, elements, distances in (
             ("lambda1-line", gs.lambda1[:, None], np.abs(rho.rho1 - gs.lambda1)),
             ("lambda2-line", gs.lambda2[:, None], np.abs(rho.rho2 - gs.lambda2)),
             ("lambda0-point", gs.lambda0,
-             np.hypot(rho.rho1 - gs.lambda0[:, 0], rho.rho2 - gs.lambda0[:, 1])),
-        )
-        best = (np.inf, ("none", ()))
-        for kind, elements, distances in families:
-            if len(elements):
-                k = int(np.argmin(distances))
-                if distances[k] < best[0]:
-                    best = (float(distances[k]), (kind, tuple(elements[k].tolist())))
-        if best[0] <= reach:
-            break
+             np.hypot(rho.rho1 - gs.lambda0[:, 0], rho.rho2 - gs.lambda0[:, 1]))):
+        if len(elements):
+            k = int(np.argmin(distances))
+            if distances[k] < best[0]:
+                best = (float(distances[k]), (kind, tuple(elements[k].tolist())))
     return MembershipReport(best[0] <= tol, best[0], best[1])
 
 

@@ -228,6 +228,19 @@ class TestSubcommands:
         assert "timestamp" in manifest
         assert "torusvar" in manifest["versions"]
 
+    def test_meanfield_quantization_lists_the_meanfield_set(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": "meanfield", "box": [60.0, 60.0],
+                                      "rho_samples": [[4 * np.pi, 1.0], [8 * np.pi, 1.0]]})
+        out = tmp_path / "out"
+        assert main(["quantization", "--config", cfg, "--out", str(out),
+                     "--tol", "1e-6"]) == 0
+        report = json.loads((out / "quantization.json").read_text())
+        lines = [round(8 * np.pi * n, 12) for n in (1, 2)]
+        assert report["global"]["lambda1"] == report["global"]["lambda2"] == lines
+        assert report["global"]["lambda0"] == []
+        assert [m["inside"] for m in report["membership"]] == [False, True]
+        assert report["membership"][0]["witness"] == ["lambda1-line", [lines[0]]]
+
     def test_solve_on_constant_weights(self, tmp_path):
         cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "toda"})
         out = tmp_path / "out"

@@ -315,6 +315,13 @@ class TestGreensFunction:
         ip, jp = torus64.nearest_node(p)
         assert gp.values[iq, jq] == pytest.approx(gq.values[ip, jp], abs=1e-12)
 
+    def test_writing_to_the_field_leaves_the_cache_intact(self, torus64):
+        p = Point(0.37, 0.61)
+        first = greens_function(torus64, p)
+        expected = first.values.copy()
+        first.values[:] = 0.0
+        assert np.array_equal(greens_function(torus64, p).values, expected)
+
     def test_near_field_log_slope(self):
         # G ~ -(1/2pi) log d near the pole; fit over a mid-range annulus
         torus = FlatTorus(128)

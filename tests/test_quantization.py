@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import torusvar.quantization
 from torusvar.quantization import (
     DEDUP_TOLERANCE,
     ROUND_OFF,
+    SHIFT_ROW_LIMIT,
     blowup_candidates,
     forbidden_window,
     gamma_residual,
@@ -23,6 +28,7 @@ from torusvar.quantization import (
 )
 from torusvar.solver import check_continuation_box
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 BASE_SET = {(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 4.0), (4.0, 2.0), (4.0, 4.0)}
 
 
@@ -334,16 +340,34 @@ class TestPrunedEnumeration:
         assert time.perf_counter() - t0 < 1.0
         assert len(lines) > len(mine) and covers(lines, mine)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(WEIGHTS, max_size=2),
-           st.tuples(st.floats(0.0, 20 * np.pi), st.floats(0.0, 20 * np.pi)),
-           st.floats(0.0, 8 * np.pi))
-    def test_membership_does_not_depend_on_the_padding(self, weights, rho, extra):
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(WEIGHTS, max_size=3),
+           st.tuples(st.floats(0.0, 40 * np.pi), st.floats(0.0, 40 * np.pi)),
+           st.floats(0.0, 8 * np.pi), st.sampled_from(("free", "point", "line", "midway")))
+    def test_membership_does_not_depend_on_the_padding(self, weights, rho, extra, snap):
+        # the query sits anywhere, on a listed point or line, or midway between two
+        # lines of lambda1 and as far from a line of lambda2 (a three-way tie)
+        # the product bounds every growth step's rows, so no listing is refused
+        assume(np.prod([len(local_lambda(*w).points) + 1 for w in weights]) <= SHIFT_ROW_LIMIT)
         singular = marked(weights)
-        query = RhoPair(*rho)
+        near = global_lambda(singular, rho)
+        r1, r2 = rho
+        if snap == "point" and len(near.lambda0):
+            r1, r2 = near.lambda0[np.argmin(np.hypot(r1 - near.lambda0[:, 0],
+                                                     r2 - near.lambda0[:, 1]))]
+        elif snap == "line":
+            r1 = near.lambda1[np.argmin(np.abs(r1 - near.lambda1))]
+        elif snap == "midway":
+            k = np.clip(np.searchsorted(near.lambda1, r1), 1, len(near.lambda1) - 1)
+            half = (near.lambda1[k] - near.lambda1[k - 1]) / 2
+            r1 = near.lambda1[k - 1] + half
+            r2 = near.lambda2[np.argmin(np.abs(r2 - near.lambda2))] + half
+        query = RhoPair(float(r1), float(r2))
         report = global_membership(query, singular, 1e-6)
         wider = global_lambda(singular, (query.rho1 + extra, query.rho2 + extra))
-        assert (report.nearest_distance, report.witness) == nearest_element(wider, query)
+        distance, witness = nearest_element(wider, query)
+        assert (report.nearest_distance, report.witness, report.inside) == (
+            distance, witness, distance <= 1e-6)
 
     def test_a_run_of_close_values_splits_at_the_tolerance(self):
         values = np.array([1.8e-9, 0.0, 0.6e-9, 1.2e-9, 5.0])
@@ -364,6 +388,27 @@ class TestPrunedEnumeration:
         assert time.perf_counter() - t0 < 2.0
         assert report.nearest_distance == pytest.approx(0.03497213320156818, abs=1e-12)
         assert report.witness == ("lambda0-point", (313.193371915247, 312.151532770782))
+
+    def test_runaway_shift_growth_is_refused_before_allocating(self):
+        # the last growth step here would hold 16.1 M rows (5.6 s and about 600 MiB);
+        # a child process starts with no cached shift table
+        probe = ("import time, numpy as np\n"
+                 "from torusvar.functionals import RhoPair\n"
+                 "from torusvar.geometry import FlatTorus, SingularData\n"
+                 "from torusvar.quantization import global_membership\n"
+                 "s = SingularData.of([(0.05 + 0.1 * i, 0.3) for i in range(5)],\n"
+                 "                    [0.5] * 5, [2.0] * 5, FlatTorus(32))\n"
+                 "t0 = time.perf_counter()\n"
+                 "try:\n"
+                 "    global_membership(RhoPair(60 * np.pi, 60 * np.pi), s, 1e-9)\n"
+                 "except ValueError as exc:\n"
+                 "    print(time.perf_counter() - t0, exc)\n")
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True, timeout=120)
+        seconds, message = out.stdout.split(" ", 1)
+        assert float(seconds) < 0.1
+        assert message.strip().endswith(f"shift rows exceed {SHIFT_ROW_LIMIT}")
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(WEIGHTS, max_size=2),
