@@ -6,9 +6,10 @@ directory, and exits 0 on success, 2 on an invalid config (malformed values,
 non-object sections and unknown top-level keys included), 3 on a module
 precondition failure, and 4 when a solve fails to converge.  Data outputs are
 byte-identical across runs with the same config and seed; wall-clock
-timestamps appear only in the manifest.  Subcommands run serially: the thread
-count (`--threads` or the `threads` key) must be at least 1 and is echoed in
-the manifest, but has no effect.
+timestamps appear only in the manifest.  JSON data files are compact: one
+line with sorted keys.  Subcommands run serially: the thread count
+(`--threads` or the `threads` key) must be at least 1 and is echoed in the
+manifest, but has no effect.
 
 Grid fields are stored as flat binary: a 32-byte header (8-byte magic
 ``TORUSFLD``, unsigned 64-bit resolution, two 64-bit periods, all
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import platform
 import struct
@@ -304,8 +306,8 @@ class ExperimentConfig:
 # ----- serialization helpers ------------------------------------------------------
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=lambda v: v.tolist()) + "\n")
+    # no indent: with one, CPython falls back to its pure-Python encoder
+    path.write_text(json.dumps(payload, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -338,7 +340,9 @@ def _write_manifest(cfg: ExperimentConfig, subcommand: str) -> None:
 
 def _run_quantization(cfg: ExperimentConfig) -> int:
     problem, _ = _problem_and_weights(cfg)
-    pairs = list(zip(cfg.singular.alpha1, cfg.singular.alpha2)) or [(0.0, 0.0)]
+    # local sets are the Toda problem's; a mean-field report's table is `candidates`
+    pairs = ((list(zip(cfg.singular.alpha1, cfg.singular.alpha2)) or [(0.0, 0.0)])
+             if problem == "toda" else [])
     box = cfg.option("box", _pair, (40.0, 40.0))
     samples = [RhoPair(*p) for p in cfg.option("rho_samples", _list_of(_pair), [])]
     gs = global_lambda(cfg.singular, box, problem)
@@ -556,7 +560,9 @@ def run(subcommand: str, cfg: ExperimentConfig) -> int:
     return _RUNNERS[subcommand](cfg)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="torusvar",
         description="Variational experiments on the flat torus: energies on bubble "
@@ -570,7 +576,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--threads", type=int, help="accepted and echoed; has no effect")
         p.add_argument("--tol", type=float,
                        help="forbidden-set gate tolerance (overrides config)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         return run(args.subcommand, ExperimentConfig.load(

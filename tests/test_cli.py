@@ -12,6 +12,8 @@ import pytest
 from torusvar.cli import (
     ConfigError,
     ExperimentConfig,
+    _parser,
+    _write_json,
     h_profile,
     main,
     read_field,
@@ -153,6 +155,27 @@ class TestConfigValidation:
         assert cfg.rho.rho1 == pytest.approx(2 * np.pi)
         assert cfg.tol is None
 
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        quantization = write_config(tmp_path, {"box": [10.0, 10.0]}, name="q.json")
+        solve = write_config(tmp_path, {**SMALL_GRID, "problem": "toda"}, name="s.json")
+        assert main(["quantization", "--config", quantization, "--out",
+                     str(tmp_path / "q"), "--seed", "3", "--threads", "2"]) == 0
+        assert main(["solve", "--config", solve, "--out", str(tmp_path / "s")]) == 0
+        first, second = (json.loads((tmp_path / name / "manifest.json").read_text())
+                         for name in ("q", "s"))
+        assert (first["subcommand"], first["seed"], first["threads"]) == ("quantization", 3, 2)
+        # nothing parsed for the first call leaks into the second
+        assert (second["subcommand"], second["seed"], second["threads"]) == ("solve", 0, 1)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: torusvar [-h]")
+        assert "unrecognized arguments: --bogus" in err
+        assert _parser() is _parser()
+        assert _parser().format_help() == _parser.__wrapped__().format_help()
+
 
 class TestFieldFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -186,6 +209,51 @@ class TestFieldFormat:
         path.write_bytes(struct.pack("<8sQdd", b"TORUSFLD", 16, 1.0, 1.0) + b"\0" * 64)
         with pytest.raises(ValueError, match="samples"):
             read_field(path)
+
+
+def float_bits(value):
+    """A parsed JSON value with every float replaced by its exact hex form."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    return value
+
+
+class TestJsonWriter:
+    PAYLOAD = {
+        "zeta": np.array([0.1 + 0.2, -0.0, 5e-324, 1e300, np.nan]),
+        "grid": np.arange(6, dtype=np.float64).reshape(2, 3) / 7.0,
+        "scalars": {"f64": np.float64(1.0) / 3.0, "f32": np.float32(0.1),
+                    "i64": np.int64(-7), "flag": np.bool_(True)},
+        "tuple": (1, (2.5, "x"), [None, False]),
+        "nested": {"b": {"d": None, "c": True}, "a": [{"y": 1, "x": float("nan")}]},
+        "nan": float("nan"),
+        "Alpha": 2 ** 64,
+    }
+
+    def test_one_sorted_line_with_the_old_values(self, tmp_path):
+        path = tmp_path / "data.json"
+        _write_json(path, self.PAYLOAD)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+
+        def sorted_pairs(pairs):
+            keys = [k for k, _ in pairs]
+            assert keys == sorted(keys)
+            return dict(pairs)
+
+        json.loads(text, object_pairs_hook=sorted_pairs)
+        old = json.dumps(self.PAYLOAD, indent=2, sort_keys=True, default=lambda v: v.tolist())
+        assert float_bits(json.loads(text)) == float_bits(json.loads(old))
+
+    def test_two_writes_give_identical_bytes(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        _write_json(first, self.PAYLOAD)
+        _write_json(second, self.PAYLOAD)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestWeightProfiles:
@@ -238,6 +306,7 @@ class TestSubcommands:
         lines = [round(8 * np.pi * n, 12) for n in (1, 2)]
         assert report["global"]["lambda1"] == report["global"]["lambda2"] == lines
         assert report["global"]["lambda0"] == []
+        assert report["local"] == []
         assert [m["inside"] for m in report["membership"]] == [False, True]
         assert report["membership"][0]["witness"] == ["lambda1-line", [lines[0]]]
 
