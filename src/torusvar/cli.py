@@ -3,13 +3,13 @@
 Every subcommand reads a JSON config, writes CSV/JSON data plus a manifest
 (config echo, library versions, seed, thread count) into the output
 directory, and exits 0 on success, 2 on an invalid config (malformed values,
-non-object sections and unknown top-level keys included), 3 on a module
-precondition failure, and 4 when a solve fails to converge.  Data outputs are
-byte-identical across runs with the same config and seed; wall-clock
-timestamps appear only in the manifest.  JSON data files are compact: one
-line with sorted keys.  Subcommands run serially: the thread count
-(`--threads` or the `threads` key) must be at least 1 and is echoed in the
-manifest, but has no effect.
+non-object sections, unknown top-level keys and unread marked points
+included), 3 on a module precondition failure, and 4 when a solve fails to
+converge.  Data outputs are byte-identical across runs with the same config
+and seed; wall-clock timestamps appear only in the manifest.  JSON data
+files are compact: one line with sorted keys.  Subcommands run serially:
+the thread count (`--threads` or the `threads` key) must be at least 1 and
+is echoed in the manifest, but has no effect.
 
 Grid fields are stored as flat binary: a 32-byte header (8-byte magic
 ``TORUSFLD``, unsigned 64-bit resolution, two 64-bit periods, all
@@ -271,8 +271,7 @@ class ExperimentConfig:
         for key in OPTION_KEYS:
             if key in raw:
                 resolved[key] = raw[key]
-        # the retired "coarse_n" is still accepted, and ignored
-        unknown = sorted(set(raw) - set(resolved) - {"coarse_n"})
+        unknown = sorted(set(raw) - set(resolved))
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r}")
         if not 0.0 <= resolved["r"] <= 1.0:
@@ -501,8 +500,11 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         "problem": problem,
         "rho": [cfg.rho.rho1, cfg.rho.rho2],
         "energy": result.energy,
+        "energy_coarse": result.energy_coarse,
+        "energy_gap": result.energy_gap,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
+        "coarse_iterations": result.coarse_iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "coercive": result.coercive,
@@ -529,11 +531,11 @@ def _run_continuation(cfg: ExperimentConfig) -> int:
                                  cfg.solver)
     mus = np.linspace(-nu, nu, steps)
     _write_csv(cfg.out / "continuation.csv",
-               ["mu", "rho1", "rho2", "energy", "iterations", "residual_norm",
-                "converged", "stop_reason"],
-               [(float(mu), cfg.rho.rho1 + float(mu), cfg.rho.rho2 + float(mu),
-                 r.energy, r.iterations, r.residual_norm, int(r.converged), r.stop_reason)
-                for mu, r in zip(mus, results)])
+               ["mu", "rho1", "rho2", "energy", "energy_coarse", "energy_gap", "iterations",
+                "residual_norm", "converged", "stop_reason"],
+               [(float(mu), cfg.rho.rho1 + float(mu), cfg.rho.rho2 + float(mu), r.energy,
+                 r.energy_coarse, r.energy_gap, r.iterations, r.residual_norm, int(r.converged),
+                 r.stop_reason) for mu, r in zip(mus, results)])
     _write_json(cfg.out / "continuation.json", {
         "nu": nu, "steps": steps,
         "all_converged": all(r.converged for r in results),
@@ -555,6 +557,8 @@ _RUNNERS = {
 
 def run(subcommand: str, cfg: ExperimentConfig) -> int:
     """Dispatch a subcommand; the manifest is written before any work starts."""
+    if subcommand in ("test-energy", "kr-scaling", "mt-check") and len(cfg.singular):
+        raise ConfigError(f"config key 'singular' is not read by {subcommand}")
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg, subcommand)
     return _RUNNERS[subcommand](cfg)

@@ -20,7 +20,7 @@ exponential-integrability (Moser-Trudinger type) constants live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -163,6 +163,13 @@ class EnergyKernel:
         log_h = _log_weight(h)
         return EnergyKernel(h.torus, rho, ((1.0,),), ((0, 1.0), (0, -1.0)), (log_h, log_h),
                             8.0 * np.pi)
+
+    def coarsened(self) -> "EnergyKernel":
+        """The same kernel on the n/2 grid, its log weights sampled on the even
+        nodes: not rebuilt at n/2, where a marked point may snap to another node."""
+        torus = FlatTorus(self.torus.n // 2, self.torus.L1, self.torus.L2)
+        return replace(self, torus=torus, log_weights=tuple(
+            np.ascontiguousarray(w[::2, ::2]) for w in self.log_weights))
 
     @property
     def coercive(self) -> bool:

@@ -293,6 +293,18 @@ def from_spectrum(torus: FlatTorus, coeffs: np.ndarray) -> np.ndarray:
     return sp_fft.irfft2(coeffs, s=(torus.n, torus.n))
 
 
+def prolong(coeffs: np.ndarray) -> np.ndarray:
+    """Zero-pad a half spectrum from the m grid to the 2m grid; on the even nodes
+    the prolonged field is the coarse field.  The Nyquist row and column are
+    split in halves between +m/2 and -m/2, so prolonging commutes with mirrors."""
+    m, half = coeffs.shape[0], coeffs.shape[0] // 2
+    out = np.zeros((2 * m, m + 1), dtype=complex)
+    out[:half, :half + 1], out[-half:, :half + 1] = coeffs[:half], coeffs[half:]
+    out[half] = out[-half] = 0.5 * out[-half]
+    out[:, half] *= 0.5
+    return 4.0 * out  # the inverse transform at 2m divides by four times as much
+
+
 def minus_laplacian_symbol(torus: FlatTorus) -> np.ndarray:
     """|k|^2 on the half spectrum (read-only)."""
     return _spectral_tables(torus)["minus_lap"]

@@ -92,10 +92,25 @@ class TestConfigValidation:
         assert cfg.resolved["h"] == {"profile": "sin-bump", "amplitude": 0.3}
         assert cfg.solver.gradient_tolerance == 5e-9
 
-    def test_retired_coarse_n_key_is_ignored(self, tmp_path):
-        cfg = ExperimentConfig.load(write_config(tmp_path, {**SMALL_GRID, "coarse_n": 24}),
-                                    str(tmp_path / "out"), None, None, None)
-        assert "coarse_n" not in cfg.resolved
+    def test_retired_coarse_n_key_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**SMALL_GRID, "coarse_n": 24})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'coarse_n'" in err
+
+    @pytest.mark.parametrize("subcommand", ("test-energy", "kr-scaling", "mt-check"))
+    def test_marked_points_are_refused_where_the_raw_weights_are_used(
+            self, tmp_path, capsys, subcommand):
+        cfg = write_config(tmp_path, {**SMALL_GRID, "lambdas": [10.0, 100.0],
+                                      "singular": {"points": [[0.5, 0.5]], "alpha1": [1.0],
+                                                   "alpha2": [1.0]}})
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'singular'" in err
+        assert not out.exists()
 
     def test_nonpositive_tolerance_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_GRID)

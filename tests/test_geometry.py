@@ -12,6 +12,7 @@ from torusvar.geometry import (
     desingularized_weight,
     dirichlet_energy,
     dirichlet_form,
+    from_spectrum,
     gradient,
     gradient_arrays,
     greens_function,
@@ -19,6 +20,7 @@ from torusvar.geometry import (
     integrate,
     laplacian,
     laplacian_array,
+    prolong,
     random_smooth_field,
     spectral_inner,
     subcell_offsets,
@@ -204,6 +206,24 @@ class TestCalculus:
         u = torus64.field(np.cos(np.pi * torus64.n * x1))
         g1, _ = gradient(u)
         assert np.abs(g1.values).max() < 1e-9
+
+    @given(st.sampled_from((16, 24, 32, 64)), st.integers(0, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_prolonged_field_on_the_even_nodes_is_the_coarse_field(self, m, seed):
+        # white noise carries content on the coarse Nyquist row and column
+        coarse = np.random.default_rng(seed).normal(size=(m, m))
+        fine = from_spectrum(FlatTorus(2 * m), prolong(to_spectrum(coarse)))
+        assert np.abs(fine[::2, ::2] - coarse).max() <= 1e-14
+        assert abs(fine.mean() - coarse.mean()) <= 1e-14  # the zero mode is kept
+        # splitting the Nyquist modes between +m/2 and -m/2 makes prolonging
+        # commute with reflecting one axis; either half alone would not
+
+        def reflect(a, axis):
+            return np.roll(np.flip(a, axis), 1, axis)
+        for axis in (0, 1):
+            mirrored = from_spectrum(FlatTorus(2 * m),
+                                     prolong(to_spectrum(reflect(coarse, axis))))
+            assert np.abs(mirrored - reflect(fine, axis)).max() <= 1e-14
 
 
 class ComplexReference:

@@ -17,6 +17,7 @@ from torusvar.geometry import (
     desingularized_weight,
     laplacian_array,
     random_smooth_field,
+    to_spectrum,
 )
 from torusvar.solver import (
     SolverConfig,
@@ -126,6 +127,63 @@ class TestMinimize:
             SolverConfig(max_iterations=-1)
         with pytest.raises(ValueError):
             SolverConfig(gradient_tolerance=0.0)
+
+
+# marked points on a node of every grid with n % 4 == 0, so that no energy
+# compared across such grids carries the snap of a point to its nearest node
+ON_NODES = SingularData.of([(0.25, 0.75), (0.75, 0.25)], [0.5, 1.0], [1.0, 0.5], FlatTorus(64))
+
+
+class TestTwoLevel:
+    def test_the_gap_bounds_the_error_of_a_resolved_solve(self, aniso_on):
+        rho = RhoPair(2 * np.pi, 2 * np.pi)
+        coarse, fine = (minimize("toda", aniso_on(FlatTorus(n)), rho, ON_NODES)
+                        for n in (64, 256))
+        assert coarse.converged and fine.converged
+        assert abs(coarse.energy_gap) >= abs(coarse.energy - fine.energy)
+
+    def test_the_gap_exposes_a_grid_bubble(self, aniso_weights):
+        result = minimize("toda", aniso_weights, RhoPair(5.5 * np.pi, 2 * np.pi), ON_NODES)
+        assert result.converged and result.coarse_iterations > 0
+        assert result.energy_gap < -1.0
+
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("n, config", [(16, SolverConfig()), (18, SolverConfig()),
+                                           (30, SolverConfig()), (34, SolverConfig()),
+                                           (64, SolverConfig(max_iterations=1))])
+    def test_without_a_converged_coarse_level_the_solve_is_single_level(
+            self, aniso_on, n, config, random_start):
+        # n = 16 and n % 4 != 0 have no coarse level; at n = 64 it hits the cap
+        torus = FlatTorus(n)
+        h, rho = aniso_on(torus), RhoPair(3 * np.pi, 2 * np.pi)
+        rng = np.random.default_rng(n)
+        initial = (tuple(random_smooth_field(torus, rng, scale=0.5) for _ in range(2))
+                   if random_start else None)
+        result = minimize("toda", h, rho, ON_NODES, config, initial)
+        start = ([to_spectrum(f.values) for f in initial] if random_start else
+                 [np.zeros((n, n // 2 + 1), dtype=complex) for _ in range(2)])
+        single = solver_module._newton(EnergyKernel.of("toda", h, rho, ON_NODES), start,
+                                       config)
+        assert result.energy_coarse is None and result.energy_gap is None
+        assert result.coarse_iterations == (config.max_iterations if n == 64 else 0)
+        assert (result.energy, result.residual_norm, result.iterations, result.stop_reason) \
+            == (single.energy, single.residual_norm, single.iterations, single.stop_reason)
+        for u, v in zip(result.u, single.u):
+            assert np.array_equal(u.values, v.values)
+
+    def test_the_coarse_level_does_not_call_minimize(self, aniso_weights, monkeypatch):
+        # a continuation step is one call of the module-level name
+        calls = []
+        original = solver_module.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(solver_module, "minimize", counted)
+        results = continuation_sweep("toda", RhoPair(2 * np.pi, 2 * np.pi), 0.4, 3,
+                                     aniso_weights, ON_NODES, LOOSE)
+        assert len(calls) == 3
+        assert all(r.converged and r.coarse_iterations > 0 for r in results)
 
 
 class InfiniteTrialKernel(EnergyKernel):
@@ -539,7 +597,10 @@ class TestContinuation:
         rho_last = RhoPair(2 * np.pi + nu, 2 * np.pi + nu)
         cold = minimize("toda", aniso_weights, rho_last, EMPTY, LOOSE)
         assert results[-1].converged and cold.converged
-        assert results[-1].iterations < cold.iterations
+
+        def steps(result):  # Newton steps on both levels
+            return result.coarse_iterations + result.iterations
+        assert steps(results[-1]) < steps(cold)
 
     def test_sweep_aborts_before_solving_on_a_bad_box(self, aniso_weights):
         with pytest.raises(ValueError, match="vertical line"):
