@@ -41,7 +41,6 @@ from .joins import (
     plateau,
     psi_map,
     rtilde,
-    scalar_energy_curve,
     scalar_test_function,
     test_function,
     validate_on_curves,
@@ -55,7 +54,6 @@ from .measures import (
     covering_thresholds,
     detect_spread,
     distance_to_barycenters,
-    kr_distance,
     kr_transport,
     push_forward,
     spread_mass_floor,

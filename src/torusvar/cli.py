@@ -5,11 +5,13 @@ Every subcommand reads a JSON config, writes CSV/JSON data plus a manifest
 directory, and exits 0 on success, 2 on an invalid config (malformed values,
 non-object sections, unknown top-level keys and unread marked points
 included), 3 on a module precondition failure, and 4 when a solve fails to
-converge.  Data outputs are byte-identical across runs with the same config
-and seed; wall-clock timestamps appear only in the manifest.  JSON data
-files are compact: one line with sorted keys.  Subcommands run serially:
-the thread count (`--threads` or the `threads` key) must be at least 1 and
-is echoed in the manifest, but has no effect.
+converge.  Subcommands that pose a problem (`test-energy`, `quantization`,
+`solve`, `continuation`) read it from the `problem` key: "toda" (the
+default) or "meanfield".  Data outputs are byte-identical across runs with
+the same config and seed; wall-clock timestamps appear only in the
+manifest.  JSON data files are compact: one line with sorted keys.
+Subcommands run serially: the thread count (`--threads` or the `threads`
+key) must be at least 1 and is echoed in the manifest, but has no effect.
 
 Grid fields are stored as flat binary: a 32-byte header (8-byte magic
 ``TORUSFLD``, unsigned 64-bit resolution, two 64-bit periods, all
@@ -50,7 +52,6 @@ from .joins import (
     energy_curve,
     homotopy_identity_check,
     kr_scaling_check,
-    scalar_energy_curve,
     scalar_test_function,
     test_function,
     validate_on_curves,
@@ -368,30 +369,20 @@ def _run_quantization(cfg: ExperimentConfig) -> int:
 
 
 def _run_test_energy(cfg: ExperimentConfig) -> int:
-    problem = cfg.option("problem", _one_of("toda", "scalar", "both"), "toda")
+    problem, weights = _problem_and_weights(cfg)
     subsamples = cfg.option("subsamples", _count, 8)
-    zeta = cfg.join_element()
-    curves = []
-    if problem in ("toda", "both"):
-        curves.append(("toda", energy_curve(cfg.torus, zeta, cfg.rho, cfg.lambdas,
-                                            cfg.h1, cfg.h2, subsamples)))
-    if problem in ("scalar", "both"):
-        curves.append(("scalar", scalar_energy_curve(cfg.torus, zeta, cfg.rho,
-                                                     cfg.lambdas, cfg.h1, subsamples)))
-    rows = [(name, lam, s1, s2, val) for name, curve in curves
-            for lam, s1, s2, val in curve.rows()]
-    _write_csv(cfg.out / "energy.csv",
-               ["problem", "lambda", "scale1", "scale2", "value"], rows)
-    slopes = {}
-    for name, curve in curves:
-        per_bubble = 8.0 * np.pi if name == "toda" else 16.0 * np.pi
-        predicted = 0.0
-        if cfg.r < 1.0:  # the first family only contributes while its scale grows
-            predicted += per_bubble * cfg.k - 2.0 * cfg.rho.rho1
-        if cfg.r > 0.0:
-            predicted += per_bubble * cfg.l - 2.0 * cfg.rho.rho2
-        slopes[name] = {"slope": curve.slope, "predicted": predicted}
-    _write_json(cfg.out / "slopes.json", slopes)
+    curve = energy_curve(problem, cfg.torus, cfg.join_element(), cfg.rho, cfg.lambdas,
+                         weights, subsamples)
+    _write_csv(cfg.out / "energy.csv", ["problem", "lambda", "scale1", "scale2", "value"],
+               [(problem, *row) for row in curve.rows()])
+    per_bubble = 8.0 * np.pi if problem == "toda" else 16.0 * np.pi
+    predicted = 0.0
+    if cfg.r < 1.0:  # the first family only contributes while its scale grows
+        predicted += per_bubble * cfg.k - 2.0 * cfg.rho.rho1
+    if cfg.r > 0.0:
+        predicted += per_bubble * cfg.l - 2.0 * cfg.rho.rho2
+    _write_json(cfg.out / "slopes.json", {problem: {"slope": curve.slope,
+                                                    "predicted": predicted}})
     return 0
 
 

@@ -409,6 +409,8 @@ def random_smooth_field(torus: FlatTorus, rng: np.random.Generator,
             if a == 0 and b == 0:
                 continue
             coeffs[a % n, b % n] = rng.normal() + 1j * rng.normal()
+    # numpy's full complex transform, not scipy.fft: the two differ in the last
+    # bits here (about 1e-17), and recorded runs start from these values
     vals = np.fft.ifft2(coeffs).real
     vals *= scale / max(np.abs(vals).max(), 1e-300)
     return GridField(torus, vals)

@@ -14,20 +14,20 @@ cell mass instead of a rogue point value.
 
 `psi_map` goes the other way: it projects a pair of densities back to a join
 element through best atomic approximations, the plateau reparametrization
-`rtilde`, and push-forward onto the circles.  The *_curve and *_check
-helpers sweep lambda and fit the growth rates these constructions are
-designed to exhibit.
+`rtilde`, and push-forward onto the circles.  `energy_curve` (either
+problem, "toda" or "meanfield") and the *_check helpers sweep lambda and
+fit the growth rates these constructions are designed to exhibit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .functionals import RhoPair, meanfield_energy, normalized_density, toda_energy
-from .geometry import CurveSystem, FlatTorus, GridField, Point, subcell_offsets
+from .functionals import EnergyKernel, RhoPair, normalized_density
+from .geometry import CurveSystem, FlatTorus, GridField, SingularData, subcell_offsets
 from .measures import (
     BarycenterMeasure,
     DiscreteMeasure,
@@ -178,33 +178,25 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _energy_sweep(zeta: JoinElement, lambdas: Sequence[float],
-                  energy: Callable[[float], float]) -> SweepCurve:
-    """`energy` at each lambda of the grid, with the top-decade slope of the
-    energy against log lambda."""
+def energy_curve(problem: str, torus: FlatTorus, zeta: JoinElement, rho: RhoPair,
+                 lambdas: Sequence[float], h, subsamples: int = DEFAULT_SUBSAMPLES) -> SweepCurve:
+    """Energy of `problem` ("toda" or "meanfield", with `h` as `EnergyKernel.of`
+    takes it) at each lambda of the grid along its peak family, with the
+    top-decade slope of the energy against log lambda.
+
+    The kernel is built once per sweep; a two-component kernel sweeps
+    `test_function`, a one-component kernel `scalar_test_function`."""
     lams = _check_lambda_grid(lambdas)
-    values = np.array([energy(lam) for lam in lams])
+    kernel = EnergyKernel.of(problem, h, rho, SingularData.empty())
+    if len(kernel.mixing) == 2:
+        peaks = lambda lam: test_function(torus, zeta, lam, subsamples)
+    else:
+        peaks = lambda lam: (scalar_test_function(torus, zeta, lam, subsamples),)
+    values = np.array([kernel.energy_of(*peaks(lam)).total for lam in lams])
     mask = lams >= lams[-1] / 10.0
     slope = _fit_slope(np.log(lams[mask]), values[mask])
     s1, s2 = zip(*(zeta.scales(lam) for lam in lams))
     return SweepCurve(lams, np.array(s1), np.array(s2), values, slope, mask)
-
-
-def energy_curve(torus: FlatTorus, zeta: JoinElement, rho: RhoPair,
-                 lambdas: Sequence[float], h1: GridField, h2: GridField,
-                 subsamples: int = DEFAULT_SUBSAMPLES) -> SweepCurve:
-    """Two-component energy along the peak family, with the top-decade slope
-    of the energy against log lambda."""
-    return _energy_sweep(zeta, lambdas, lambda lam: toda_energy(
-        *test_function(torus, zeta, lam, subsamples), h1, h2, rho).total)
-
-
-def scalar_energy_curve(torus: FlatTorus, zeta: JoinElement, rho: RhoPair,
-                        lambdas: Sequence[float], h: GridField,
-                        subsamples: int = DEFAULT_SUBSAMPLES) -> SweepCurve:
-    """Scalar energy along the scalar peak family, same reporting."""
-    return _energy_sweep(zeta, lambdas, lambda lam: meanfield_energy(
-        scalar_test_function(torus, zeta, lam, subsamples), h, rho).total)
 
 
 # ----- projection back to the join --------------------------------------------

@@ -22,7 +22,8 @@ the other centers' distance fields; a trial's field is the square root of the
 sum of two per-axis rows, which `FlatTorus.squared_displacement_row` caches
 across calls, scored in place.  Every distance comes from `geometry`: fields
 and rows from `FlatTorus`, point-set distances from
-`FlatTorus.pairwise_distance`.
+`FlatTorus.pairwise_distance`.  So does every FFT (`to_spectrum`,
+`from_spectrum`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .functionals import normalized_density
-from .geometry import CurveSystem, FlatTorus, GridField, Point
+from .geometry import CurveSystem, FlatTorus, GridField, Point, from_spectrum, to_spectrum
 
 MASS_TOLERANCE = 1e-9
 LP_ENTRY_LIMIT = 2**16  # |support a| x |support b| above this is refused
@@ -178,7 +179,8 @@ def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
 
 
 def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> TransportResult:
-    """Exact transport distance.
+    """Exact transport distance on the torus of the discrete side, or on
+    `torus`, which a pair of atomic measures must give (ValueError otherwise).
 
     Closed form when one side is a single atom (every unit of mass travels
     straight to that atom), else the exact LP in a canonical orientation so the
@@ -194,7 +196,7 @@ def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> Tr
     elif isinstance(nu, DiscreteMeasure):
         torus = nu.torus
     elif torus is None:
-        torus = FlatTorus(16)  # atomic-only instances only need the (unit) periods
+        raise ValueError("a pair of atomic measures needs the torus they live on")
     for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
         if len(pts_one) == 1:
             d = np.minimum(torus.pairwise_distance(pts_many, pts_one)[:, 0], 2.0)
@@ -211,11 +213,6 @@ def _side_key(pts: np.ndarray, w: np.ndarray) -> tuple:
     return (pts.tobytes(), w.tobytes())
 
 
-def kr_distance(mu: Measure, nu: Measure) -> float:
-    """Transport distance between two unit-mass measures (see `kr_transport`)."""
-    return kr_transport(mu, nu).distance
-
-
 # ----- projection onto atomic measures ---------------------------------------
 
 def _ball_kernel(torus: FlatTorus, radius: float) -> np.ndarray:
@@ -223,26 +220,26 @@ def _ball_kernel(torus: FlatTorus, radius: float) -> np.ndarray:
     return (torus.distance_field(origin) <= radius).astype(float)
 
 
-def _ball_masses(density: np.ndarray, kernel_hat: np.ndarray, cell_area: float) -> np.ndarray:
+def _ball_masses(torus: FlatTorus, density: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     """Mass inside the radius ball around every node, by circular convolution
-    on real FFTs (`kernel_hat` is the `rfft2` of the ball's indicator).
+    on real FFTs (`kernel_hat` is the half spectrum of the ball's indicator).
 
     Values are rounded to 12 decimals so that near-ties from FFT round-off are
     broken by lowest node index, keeping center picks deterministic."""
-    conv = np.fft.irfft2(np.fft.rfft2(density) * kernel_hat, s=density.shape) * cell_area
+    conv = from_spectrum(torus, to_spectrum(density) * kernel_hat) * torus.cell_area
     return np.round(conv, 12)
 
 
 def _greedy_ball_centers(measure: DiscreteMeasure, rounds: int, radius: float) -> list[Point]:
     """Repeatedly capture the maximum-mass ball and remove its mass."""
     torus = measure.torus
-    kernel_hat = np.fft.rfft2(_ball_kernel(torus, radius))
+    kernel_hat = to_spectrum(_ball_kernel(torus, radius))
     density = measure.density.copy()
     centers: list[Point] = []
     for _ in range(rounds):
         if density.sum() * torus.cell_area < 1e-15:
             break
-        bm = _ball_masses(density, kernel_hat, torus.cell_area)
+        bm = _ball_masses(torus, density, kernel_hat)
         i, j = np.unravel_index(int(np.argmax(bm)), bm.shape)
         centers.append(torus.node_point(i, j))
         density[torus.distance_field(centers[-1]) <= radius] = 0.0
@@ -420,10 +417,10 @@ def covering_merge(omegas1: Sequence[Sequence[Point]], omegas2: Sequence[Sequenc
                     f"family {fam_idx} set {a} carries mass {mass:.4g} (< theta={theta})")
 
     cover_centers = _cover_sublattice(torus, delta_bar)
-    kernel_hat = np.fft.rfft2(_ball_kernel(torus, delta_bar))
+    kernel_hat = to_spectrum(_ball_kernel(torus, delta_bar))
 
     def pick_centers(family: tuple, f: DiscreteMeasure) -> list[Point]:
-        all_masses = _ball_masses(f.density, kernel_hat, torus.cell_area)
+        all_masses = _ball_masses(torus, f.density, kernel_hat)
         masses = np.array([all_masses[torus.nearest_node(c)] for c in cover_centers])
         picked = []
         for omega in family:
@@ -503,8 +500,8 @@ def detect_spread(f: DiscreteMeasure, m: int, eps: float, s: float) -> Optional[
         return None
     torus = f.torus
     s_bar = s / 4.0
-    kernel_hat = np.fft.rfft2(_ball_kernel(torus, s_bar))
-    bm = _ball_masses(f.density, kernel_hat, torus.cell_area)
+    kernel_hat = to_spectrum(_ball_kernel(torus, s_bar))
+    bm = _ball_masses(torus, f.density, kernel_hat)
     allowed = np.ones((torus.n, torus.n), dtype=bool)
     points: list[Point] = []
     for _ in range(m):

@@ -37,7 +37,6 @@ from torusvar.joins import (
     energy_curve,
     kr_scaling_check,
     psi_map,
-    scalar_energy_curve,
     test_function as peak_pair,
 )
 from torusvar.measures import (
@@ -46,7 +45,6 @@ from torusvar.measures import (
     concentration_alternative,
     covering_merge,
     detect_spread,
-    kr_distance,
     kr_transport,
     spread_mass_floor,
 )
@@ -115,13 +113,13 @@ def test_criterion_03_energy_slopes_match_the_predictions():
     h = torus.constant_field(1.0)
     zeta = join_element(torus, 1, 1, 0.0)
     # two components: sweep two decades, slope fitted on the top decade [1e2, 1e3]
-    toda = energy_curve(torus, zeta, RhoPair(5 * np.pi, 5 * np.pi),
-                        np.geomspace(10.0, 1000.0, 9), h, h)
+    toda = energy_curve("toda", torus, zeta, RhoPair(5 * np.pi, 5 * np.pi),
+                        np.geomspace(10.0, 1000.0, 9), (h, h))
     toda_err = abs(toda.slope - (-2 * np.pi)) / (2 * np.pi)
     # scalar: prediction 16 pi - 2 rho1 = -2 pi; top fitted decade [30, 300]
     # (larger scales saturate the grid before the asymptotic slope is reached)
-    scalar = scalar_energy_curve(torus, zeta, RhoPair(9 * np.pi, 9 * np.pi),
-                                 np.geomspace(3.0, 300.0, 9), h)
+    scalar = energy_curve("meanfield", torus, zeta, RhoPair(9 * np.pi, 9 * np.pi),
+                          np.geomspace(3.0, 300.0, 9), h)
     scalar_err = abs(scalar.slope - (-2 * np.pi)) / (2 * np.pi)
     certify(3, "energy slope", toda_err <= 0.15 and scalar_err <= 0.15,
             f"two-component slope {toda.slope:.3f} (err {toda_err:.1%}), "
@@ -295,15 +293,16 @@ def test_criterion_09_transport_agrees_with_the_lp_oracle():
     for a, mu in zip(nodes, singles):
         for b, nu in zip(nodes, singles):
             expected = min(reference_distance(torus, (a.x1, a.x2), (b.x1, b.x2)), 2.0)
-            worst_pair = max(worst_pair, abs(kr_distance(mu, nu) - expected))
+            worst_pair = max(worst_pair,
+                             abs(kr_transport(mu, nu, torus=torus).distance - expected))
     rng = np.random.default_rng(99)
     worst_triple = 0.0
     for _ in range(200):
         wa, wb = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
         pa, pb = rng.uniform(0, 1, (3, 2)), rng.uniform(0, 1, (3, 2))
-        mine = kr_distance(
+        mine = kr_transport(
             BarycenterMeasure.of(wa, [torus.point(*p) for p in pa]),
-            BarycenterMeasure.of(wb, [torus.point(*p) for p in pb]))
+            BarycenterMeasure.of(wb, [torus.point(*p) for p in pb]), torus=torus).distance
         worst_triple = max(worst_triple, abs(mine - reference_lp(torus, wa, pa, wb, pb)))
     ok = worst_pair <= 1e-9 and worst_triple <= 1e-9
     certify(9, "transport oracle equivalence", ok,

@@ -145,10 +145,13 @@ class TestConfigValidation:
         ("solve", {"grid": {"n": 32.7}}, "n"),
         ("continuation", {"nu": True}, "nu"),
         ("projection", {"subsample": 2}, "subsample"),
+        ("test-energy", {"problem": "scalar"}, "problem"),
+        ("test-energy", {"problem": "both"}, "problem"),
     ), ids=("grid-number", "solver-list", "singular-number", "h-number", "subsamples-text",
             "r-values-number", "steps-text", "box-number", "alpha-retired", "rho-sample-single",
             "mass-center-single", "components-text", "initial-typo", "spacing-typo",
-            "steps-fraction", "k-boolean", "n-fraction", "nu-boolean", "subsample-unknown"))
+            "steps-fraction", "k-boolean", "n-fraction", "nu-boolean", "subsample-unknown",
+            "energy-problem-scalar", "energy-problem-both"))
     def test_malformed_value_exits_2_with_one_line(self, tmp_path, capsys, subcommand, bad,
                                                    named):
         cfg = write_config(tmp_path, {**SMALL_GRID, **bad})
@@ -397,19 +400,23 @@ class TestSubcommands:
         assert report["all_converged"] is True
         assert len(report["energies"]) == 3
 
-    def test_test_energy_outputs_slopes(self, tmp_path):
+    @pytest.mark.parametrize("problem, per_bubble", (("toda", 8 * np.pi),
+                                                     ("meanfield", 16 * np.pi)),
+                             ids=("toda", "meanfield"))
+    def test_test_energy_outputs_slopes(self, tmp_path, problem, per_bubble):
         cfg = write_config(tmp_path, {
-            **SMALL_GRID, "problem": "both", "r": 0.5,
+            **SMALL_GRID, "problem": problem, "r": 0.5,
             "rho": [5 * np.pi, 5 * np.pi], "subsamples": 2,
             "lambdas": {"start": 10.0, "stop": 1000.0, "count": 4}})
         out = tmp_path / "out"
         assert main(["test-energy", "--config", cfg, "--out", str(out)]) == 0
         slopes = json.loads((out / "slopes.json").read_text())
-        assert slopes["toda"]["predicted"] == pytest.approx(16 * np.pi - 4 * 5 * np.pi)
-        assert slopes["scalar"]["predicted"] == pytest.approx(32 * np.pi - 4 * 5 * np.pi)
+        assert list(slopes) == [problem]
+        assert slopes[problem]["predicted"] == pytest.approx(2 * per_bubble - 4 * 5 * np.pi)
         lines = (out / "energy.csv").read_text().splitlines()
         assert lines[0] == "problem,lambda,scale1,scale2,value"
-        assert len(lines) == 9  # header + two problems x four scales
+        assert len(lines) == 5  # header + four scales
+        assert all(line.startswith(f"{problem},") for line in lines[1:])
 
     def test_projection_reports_displacements(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -459,8 +466,9 @@ class TestDeterminism:
         for p1, p2 in zip(files1, files2):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
-    def test_thread_count_does_not_change_data(self, tmp_path):
-        payload = {**SMALL_GRID, "problem": "both", "subsamples": 2,
+    @pytest.mark.parametrize("problem", ("toda", "meanfield"))
+    def test_thread_count_does_not_change_data(self, tmp_path, problem):
+        payload = {**SMALL_GRID, "problem": problem, "subsamples": 2,
                    "lambdas": {"start": 10.0, "stop": 1000.0, "count": 4}}
         cfg = write_config(tmp_path, payload)
         out1, out2 = tmp_path / "t1", tmp_path / "t2"

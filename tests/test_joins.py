@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvar import joins
-from torusvar.functionals import RhoPair, normalized_density, toda_energy
+from torusvar.functionals import RhoPair, meanfield_energy, normalized_density, toda_energy
 from torusvar.geometry import CurveSystem, FlatTorus, Point, subcell_offsets
 from torusvar.joins import (
     JoinElement,
@@ -14,7 +14,6 @@ from torusvar.joins import (
     plateau,
     psi_map,
     rtilde,
-    scalar_energy_curve,
     scalar_test_function,
     validate_on_curves,
 )
@@ -168,14 +167,14 @@ class TestEnergyCurves:
     def test_lambda_grid_must_span_two_decades(self, torus32, aniso_weights):
         h1, h2 = aniso_weights
         with pytest.raises(ValueError):
-            energy_curve(FlatTorus(64), join_at(FlatTorus(64), 0.5),
-                         RhoPair(1.0, 1.0), [10.0, 20.0, 40.0, 80.0], h1, h2)
+            energy_curve("toda", FlatTorus(64), join_at(FlatTorus(64), 0.5),
+                         RhoPair(1.0, 1.0), [10.0, 20.0, 40.0, 80.0], (h1, h2))
 
     def test_two_component_slope_tracks_the_prediction(self, torus64, aniso_weights):
         h1, h2 = aniso_weights
         rho = RhoPair(5 * np.pi, 5 * np.pi)
         lambdas = np.geomspace(10.0, 1000.0, 7)
-        curve = energy_curve(torus64, join_at(torus64, 0.5), rho, lambdas, h1, h2,
+        curve = energy_curve("toda", torus64, join_at(torus64, 0.5), rho, lambdas, (h1, h2),
                              subsamples=4)
         predicted = 2 * (8 * np.pi - 2 * 5 * np.pi)  # both families active at r = 1/2
         assert curve.slope == pytest.approx(predicted, rel=0.25)
@@ -185,18 +184,43 @@ class TestEnergyCurves:
         h = torus64.constant_field(1.0)
         rho = RhoPair(9 * np.pi, np.pi)
         lambdas = np.geomspace(2.0, 200.0, 7)
-        curve = scalar_energy_curve(torus64, join_at(torus64, 0.0), rho, lambdas, h,
-                                    subsamples=4)
+        curve = energy_curve("meanfield", torus64, join_at(torus64, 0.0), rho, lambdas, h,
+                             subsamples=4)
         predicted = 16 * np.pi - 2 * rho.rho1
         assert curve.slope == pytest.approx(predicted, rel=0.3)
 
     def test_fit_mask_covers_the_top_decade(self, torus64, aniso_weights):
         h1, h2 = aniso_weights
         lambdas = np.geomspace(10.0, 1000.0, 7)
-        curve = energy_curve(torus64, join_at(torus64, 0.5), RhoPair(1.0, 1.0),
-                             lambdas, h1, h2, subsamples=2)
+        curve = energy_curve("toda", torus64, join_at(torus64, 0.5), RhoPair(1.0, 1.0),
+                             lambdas, (h1, h2), subsamples=2)
         assert np.array_equal(curve.fit_mask, lambdas >= 100.0)
         assert len(list(curve.rows())) == 7
+
+    @pytest.mark.parametrize("problem", ("toda", "meanfield"))
+    def test_each_value_is_the_energy_of_its_peaks_bit_for_bit(self, torus32, aniso_on,
+                                                                 problem):
+        h1, h2 = aniso_on(torus32)  # two distinct weights: a swapped or shared one shows
+        rho = RhoPair(3.0, 7.0)
+        zeta = join_at(torus32, 0.3)
+        lambdas = np.geomspace(5.0, 500.0, 5)
+        if problem == "toda":
+            curve = energy_curve(problem, torus32, zeta, rho, lambdas, (h1, h2), subsamples=2)
+            direct = [toda_energy(*peak_pair(torus32, zeta, lam, 2), h1, h2, rho).total
+                      for lam in lambdas]
+        else:
+            curve = energy_curve(problem, torus32, zeta, rho, lambdas, h1, subsamples=2)
+            direct = [meanfield_energy(scalar_test_function(torus32, zeta, lam, 2), h1,
+                                       rho).total for lam in lambdas]
+        assert curve.values.tolist() == direct
+        mask = lambdas >= lambdas[-1] / 10.0
+        assert curve.slope == float(np.polyfit(np.log(lambdas[mask]), curve.values[mask], 1)[0])
+
+    def test_unknown_problem_is_refused(self, torus32):
+        h = torus32.constant_field(1.0)
+        with pytest.raises(ValueError, match="unknown problem 'scalar'"):
+            energy_curve("scalar", torus32, join_at(torus32, 0.5), RhoPair(1.0, 1.0),
+                         np.geomspace(10.0, 1000.0, 4), h)
 
 
 class TestRamp:

@@ -19,7 +19,6 @@ from torusvar.measures import (
     covering_thresholds,
     detect_spread,
     distance_to_barycenters,
-    kr_distance,
     kr_transport,
     push_forward,
     spread_mass_floor,
@@ -137,14 +136,22 @@ class TestKrTransport:
         with pytest.raises(ValueError):
             kr_transport(mu, nu)
 
-    def test_single_atom_pair_equals_distance(self, torus32):
-        mu = atomic(torus32, [1.0], [(0.1, 0.2)])
-        nu = atomic(torus32, [1.0], [(0.7, 0.9)])
+    @pytest.mark.parametrize("a, b", (((0.1, 0.2), (0.7, 0.9)), ((0.2, 0.2), (0.2, 0.7))))
+    def test_single_atom_pair_equals_distance(self, torus32, a, b):
+        mu = atomic(torus32, [1.0], [a])
+        nu = atomic(torus32, [1.0], [b])
         out = kr_transport(mu, nu, torus=torus32)
         assert out.method == "closed-form"
-        assert out.distance == pytest.approx(
-            reference_distance(torus32, (0.1, 0.2), (0.7, 0.9)), abs=1e-14)
+        assert out.distance == pytest.approx(reference_distance(torus32, a, b), abs=1e-14)
         assert out.error_bound == 0.0
+
+    def test_atomic_pair_is_measured_on_its_own_torus(self):
+        torus = FlatTorus(16, 2.0, 0.5)
+        mu = atomic(torus, [1.0], [(0.1, 0.1)])
+        nu = atomic(torus, [1.0], [(1.0, 0.1)])
+        assert kr_transport(mu, nu, torus=torus).distance == pytest.approx(0.9, abs=1e-14)
+        with pytest.raises(ValueError, match="torus"):
+            kr_transport(mu, nu)
 
     def test_symmetry_is_bit_exact(self, torus32):
         mu = atomic(torus32, [0.3, 0.7], [(0.05, 0.15), (0.8, 0.45)])
@@ -210,11 +217,6 @@ class TestKrTransport:
         mu, nu, pi = (rand_measure() for _ in range(3))
         d = lambda a, b: kr_transport(a, b, torus=torus).distance
         assert d(mu, nu) <= d(mu, pi) + d(pi, nu) + 1e-9
-
-    def test_kr_distance_is_the_plain_number(self, torus32):
-        mu = atomic(torus32, [1.0], [(0.2, 0.2)])
-        nu = atomic(torus32, [1.0], [(0.2, 0.7)])
-        assert kr_distance(mu, nu) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestNormalizeExp:

@@ -38,13 +38,18 @@ def exact_local_set(a1, a2, coordinate_bound):
     Coordinates stay symbolic (rationals and nested radicals) end to end; the
     quadratic formula is applied exactly, with 40-digit evaluation used only to
     order, bound, and deduplicate points.  No floating-point root iteration,
-    clamping, or rounding is involved."""
+    clamping, or rounding is involved.  Each expression's 40-digit value is
+    computed once and cached, since the closure revisits the same radicals."""
     a1, a2 = sp.Rational(a1), sp.Rational(a2)
     c1, c2 = 2 * (1 + a1), 2 * (1 + a2)
     bound = float(coordinate_bound)
+    values = {}
 
     def num(x):
-        return float(sp.sympify(x).evalf(40))
+        x = sp.sympify(x)
+        if x not in values:
+            values[x] = float(x.evalf(40))
+        return values[x]
 
     def key(p):
         return (round(num(p[0]), 15), round(num(p[1]), 15))
