@@ -13,9 +13,11 @@ Both are invariant under adding constants to the unknowns, so every
 exponential integral is evaluated with a max-shifted log-sum-exp and the
 returned gradients have zero mean.  One kernel, `EnergyKernel`, evaluates
 both energies, their gradients and Hessian-vector products from a state
-given as node values plus half-spectrum coefficients; the public functions
-call it.  Diagnostic ratios for the sharp
-exponential-integrability (Moser-Trudinger type) constants live here too.
+given as node values plus half-spectrum coefficients.  `EnergyKernel.of` is
+its one constructor and the public functions call it, so every energy takes
+strictly positive raw weights h_i, as the paper does.  Diagnostic ratios
+for the sharp exponential-integrability (Moser-Trudinger type) constants
+live here too.
 """
 
 from __future__ import annotations
@@ -140,29 +142,25 @@ class EnergyKernel:
     def of(cls, problem: str, h, rho: RhoPair, singular: SingularData) -> "EnergyKernel":
         """The kernel of problem "toda" (weights (h1, h2), or one h for both) or
         "meanfield" (one h), each weight desingularized with its component's
-        list; the scalar problem's marked points carry one weight, the first."""
+        list; the scalar problem's marked points carry one weight, the first.
+        The only constructor: every raw weight must be strictly positive (the
+        paper's hypothesis, checked by `desingularized_weight`); `_log_weight`'s
+        rule, >= 0, serves the desingularized weights, which may vanish at a
+        marked node, and the density weights of `normalized_density`."""
         if problem == "toda":
             h1, h2 = h if isinstance(h, (tuple, list)) else (h, h)
-            return cls.toda(desingularized_weight(h1, singular, 1),
-                            desingularized_weight(h2, singular, 2), rho)
+            _check_grid(h2, h1.torus)
+            log_weights = (_log_weight(desingularized_weight(h1, singular, 1)),
+                           _log_weight(desingularized_weight(h2, singular, 2)))
+            return cls(h1.torus, rho, ((2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0)),
+                       ((0, 1.0), (1, 1.0)), log_weights, 4.0 * np.pi)
         if problem == "meanfield":
             if isinstance(h, (tuple, list)):
                 raise ValueError("the scalar problem takes a single weight field")
-            return cls.meanfield(desingularized_weight(h, singular, 1), rho)
+            log_h = _log_weight(desingularized_weight(h, singular, 1))
+            return cls(h.torus, rho, ((1.0,),), ((0, 1.0), (0, -1.0)), (log_h, log_h),
+                       8.0 * np.pi)
         raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")
-
-    @staticmethod
-    def toda(h1: GridField, h2: GridField, rho: RhoPair) -> "EnergyKernel":
-        _check_grid(h2, h1.torus)
-        return EnergyKernel(h1.torus, rho, ((2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0)),
-                            ((0, 1.0), (1, 1.0)), (_log_weight(h1), _log_weight(h2)),
-                            4.0 * np.pi)
-
-    @staticmethod
-    def meanfield(h: GridField, rho: RhoPair) -> "EnergyKernel":
-        log_h = _log_weight(h)
-        return EnergyKernel(h.torus, rho, ((1.0,),), ((0, 1.0), (0, -1.0)), (log_h, log_h),
-                            8.0 * np.pi)
 
     def coarsened(self) -> "EnergyKernel":
         """The same kernel on the n/2 grid, its log weights sampled on the even
@@ -268,7 +266,7 @@ def q_density(u1: GridField, u2: GridField) -> GridField:
 def toda_energy(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
                 rho: RhoPair) -> EnergyReport:
     """J_rho(u1, u2) = int Q + sum_i rho_i (int u_i - log int h_i e^{u_i})."""
-    return EnergyKernel.toda(h1, h2, rho).energy_of(u1, u2)
+    return EnergyKernel.of("toda", (h1, h2), rho, SingularData.empty()).energy_of(u1, u2)
 
 
 def toda_gradient(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
@@ -279,20 +277,20 @@ def toda_gradient(u1: GridField, u2: GridField, h1: GridField, h2: GridField,
         -Lap u1 = 2 rho1 (f1 - 1) - rho2 (f2 - 1),
         -Lap u2 = 2 rho2 (f2 - 1) - rho1 (f1 - 1),
     with f_i = h_i e^{u_i} / int h_i e^{u_i}."""
-    return EnergyKernel.toda(h1, h2, rho).gradient_of(u1, u2)
+    return EnergyKernel.of("toda", (h1, h2), rho, SingularData.empty()).gradient_of(u1, u2)
 
 
 # ----- scalar sinh-type functional ------------------------------------------
 
 def meanfield_energy(u: GridField, h: GridField, rho: RhoPair) -> EnergyReport:
     """I_rho(u) with the two exponential terms carrying opposite signs of u."""
-    return EnergyKernel.meanfield(h, rho).energy_of(u)
+    return EnergyKernel.of("meanfield", h, rho, SingularData.empty()).energy_of(u)
 
 
 def meanfield_gradient(u: GridField, h: GridField, rho: RhoPair) -> GridField:
     """L2 gradient of I_rho, zero exactly when
     -Lap u = rho1 (f+ - 1) - rho2 (f- - 1), f+- = h e^{+-u} / int h e^{+-u}."""
-    return EnergyKernel.meanfield(h, rho).gradient_of(u)[0]
+    return EnergyKernel.of("meanfield", h, rho, SingularData.empty()).gradient_of(u)[0]
 
 
 # ----- sharp-constant diagnostics -------------------------------------------

@@ -179,8 +179,9 @@ def _transport_lp(torus: FlatTorus, pts_a: np.ndarray, w_a: np.ndarray,
 
 
 def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> TransportResult:
-    """Exact transport distance on the torus of the discrete side, or on
-    `torus`, which a pair of atomic measures must give (ValueError otherwise).
+    """Exact transport distance on the torus of the discrete sides and of
+    `torus`, which must agree, and which a pair of atomic measures must give
+    (ValueError otherwise).
 
     Closed form when one side is a single atom (every unit of mass travels
     straight to that atom), else the exact LP in a canonical orientation so the
@@ -191,12 +192,13 @@ def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> Tr
         raise ValueError(f"measures have unequal masses (gap {gap:.3e})")
 
     (pts_a, w_a), (pts_b, w_b) = _support(mu), _support(nu)
-    if isinstance(mu, DiscreteMeasure):
-        torus = mu.torus
-    elif isinstance(nu, DiscreteMeasure):
-        torus = nu.torus
-    elif torus is None:
+    tori = [m.torus for m in (mu, nu) if isinstance(m, DiscreteMeasure)]
+    tori += [torus] if torus is not None else []
+    if not tori:
         raise ValueError("a pair of atomic measures needs the torus they live on")
+    if any(t != tori[0] for t in tori[1:]):
+        raise ValueError(f"the measures and `torus` name different tori: {tori}")
+    torus = tori[0]
     for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
         if len(pts_one) == 1:
             d = np.minimum(torus.pairwise_distance(pts_many, pts_one)[:, 0], 2.0)

@@ -13,7 +13,7 @@ Both quadratic roots are kept when admissible, and the bounded ellipse makes
 the closure terminate.
 
 The global forbidden set combines local sets over the marked points with
-integer 4-pi lattices per component; `global_window` lists it inside a
+integer 4-pi lattices per component; `forbidden_window` lists it inside a
 window, merging values within DEDUP_TOLERANCE into tolerance classes.  A
 membership query prints the nearest part of the window reaching 4 pi around
 the queried pair and returns its nearest element as a witness.  No element
@@ -234,29 +234,23 @@ def _window(singular: SingularData, low, high) -> Iterator[tuple[np.ndarray, ...
         yield values, inside, lowest, codes
 
 
-def global_window(singular: SingularData, low: tuple[float, float],
-                  high: tuple[float, float]) -> GlobalSet:
-    """Enumerate the forbidden set inside [low1, high1] x [low2, high2].
-
-    A point is one pair of classes, and a class is listed at its lowest value
-    rounded to 12 digits, so no two listed elements lie within DEDUP_TOLERANCE
-    of each other."""
-    lines1 = _axis_values(singular.alpha1, high[0])
-    lines2 = _axis_values(singular.alpha2, high[1])
-    (_, x_in, x, cx), (_, y_in, y, cy) = _window(singular, low, high)
-    which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
-    pairs = np.unique(cx[which, i] * len(y) + cy[which, j])
-    lambda0 = np.column_stack((_printed(x)[pairs // len(y)], _printed(y)[pairs % len(y)]))
-    return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
-
-
 def forbidden_window(problem: str, singular: SingularData, low: tuple[float, float],
                      high: tuple[float, float]) -> GlobalSet:
-    """The forbidden set of problem "toda" (`global_window`) or "meanfield"
-    (the lines 8 pi n, n >= 1, in each coordinate, and no points) inside the
-    window [low1, high1] x [low2, high2]."""
+    """The forbidden set of problem "toda" or "meanfield" (the lines 8 pi n,
+    n >= 1, in each coordinate, and no points) inside the window
+    [low1, high1] x [low2, high2].
+
+    A Toda point is one pair of classes, and a class is listed at its lowest
+    value rounded to 12 digits, so no two listed elements lie within
+    DEDUP_TOLERANCE of each other."""
     if problem == "toda":
-        return global_window(singular, low, high)
+        lines1 = _axis_values(singular.alpha1, high[0])
+        lines2 = _axis_values(singular.alpha2, high[1])
+        (_, x_in, x, cx), (_, y_in, y, cy) = _window(singular, low, high)
+        which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
+        pairs = np.unique(cx[which, i] * len(y) + cy[which, j])
+        lambda0 = np.column_stack((_printed(x)[pairs // len(y)], _printed(y)[pairs % len(y)]))
+        return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
     if problem == "meanfield":
         def lines(lo: float, hi: float) -> np.ndarray:
             first, last = max(1, int(lo / (8.0 * np.pi))), int(hi / (8.0 * np.pi)) + 1

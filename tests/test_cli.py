@@ -479,6 +479,26 @@ class TestDeterminism:
         assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
         assert (out1 / "slopes.json").read_bytes() == (out2 / "slopes.json").read_bytes()
 
+    def test_random_start_is_fixed_by_the_seed(self, tmp_path):
+        payload = {**SMALL_GRID, "problem": "meanfield", "rho": [4 * np.pi, 2 * np.pi],
+                   "h": {"profile": "sin-bump"}}
+        random_cfg = write_config(tmp_path, {**payload, "initial": "random"}, "random.json")
+        zero_cfg = write_config(tmp_path, payload, "zero.json")
+        runs = {}
+        for name, cfg, seed in (("a", random_cfg, "5"), ("b", random_cfg, "5"),
+                                ("c", random_cfg, "6"), ("zero", zero_cfg, "5")):
+            out = tmp_path / name
+            assert main(["solve", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+            runs[name] = (json.loads((out / "solve.json").read_text()),
+                          (out / "solve.json").read_bytes(),
+                          (out / "solution_u.bin").read_bytes())
+        assert runs["a"][1:] == runs["b"][1:]
+        assert runs["a"][2] != runs["c"][2]
+        assert all(runs[name][0]["converged"] for name in runs)
+        assert runs["c"][0]["energy"] == pytest.approx(runs["a"][0]["energy"], abs=1e-12)
+        # the random start takes its own path at n/2 (5 coarse steps against 3)
+        assert runs["a"][0]["coarse_iterations"] != runs["zero"][0]["coarse_iterations"]
+
     def test_blas_thread_count_does_not_change_a_solve(self, tmp_path):
         # OpenBLAS splits a reduction across its threads, so results reached
         # through it depend on OPENBLAS_NUM_THREADS, which --threads does not set

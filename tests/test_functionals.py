@@ -21,7 +21,6 @@ from torusvar.geometry import (
     FlatTorus,
     GridField,
     SingularData,
-    desingularized_weight,
     dirichlet_energy,
     from_spectrum,
     integrate,
@@ -216,6 +215,18 @@ class TestKernelOf:
         # 6 pi lies between the two critical strengths
         assert coercive(6 * np.pi, 6 * np.pi) == (problem == "meanfield")
 
+    def test_every_energy_refuses_a_weight_with_a_zero_node(self, torus32):
+        # the paper's weights are strictly positive; sin^2 vanishes on x1 = 0
+        x1, _ = torus32.grids()
+        h = torus32.field(np.sin(np.pi * x1) ** 2)
+        u = torus32.constant_field(0.0)
+        calls = (lambda: toda_energy(u, u, h, h, RHO), lambda: toda_gradient(u, u, h, h, RHO),
+                 lambda: meanfield_energy(u, h, RHO), lambda: meanfield_gradient(u, h, RHO),
+                 lambda: mt_system_gap(u, u, h, h))
+        for call in calls:
+            with pytest.raises(ValueError, match="strictly positive"):
+                call()
+
 
 def kernel_for(problem: str, torus: FlatTorus, marked: bool) -> EnergyKernel:
     """Either energy on `torus` with smooth weights, desingularized at two
@@ -223,12 +234,9 @@ def kernel_for(problem: str, torus: FlatTorus, marked: bool) -> EnergyKernel:
     x1, x2 = torus.grids()
     h1 = torus.field(1.0 + 0.3 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2))
     h2 = torus.field(1.0 + 0.2 * np.cos(2 * np.pi * x1) + 0.1 * np.sin(4 * np.pi * x2))
-    if marked:
-        singular = SingularData.of([(0.3, 0.6), (0.7, 0.1)], [0.5, 1.0], [1.0, 0.5], torus)
-        h1, h2 = (desingularized_weight(h1, singular, 1), desingularized_weight(h2, singular, 2))
-    if problem == "toda":
-        return EnergyKernel.toda(h1, h2, RHO)
-    return EnergyKernel.meanfield(h1, RHO)
+    singular = (SingularData.of([(0.3, 0.6), (0.7, 0.1)], [0.5, 1.0], [1.0, 0.5], torus)
+                if marked else SingularData.empty())
+    return EnergyKernel.of(problem, (h1, h2) if problem == "toda" else h1, RHO, singular)
 
 
 def gradient_at(kernel: EnergyKernel, values: list) -> list:

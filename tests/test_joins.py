@@ -71,16 +71,27 @@ class TestJoinElement:
         with pytest.raises(ValueError):
             join_at(torus32, 1.5)
 
-    def test_endpoint_identification_ignores_the_dead_slot(self, torus32):
-        a = join_at(torus32, 0.0)
-        b = JoinElement(a.sigma1, BarycenterMeasure.single(Point(0.9, 0.75)), 0.0)
-        assert a == b
-        assert hash(a) == hash(b)
+    @pytest.mark.parametrize("r", (0.0, 1.0))
+    def test_endpoint_identification_ignores_the_dead_slot(self, torus32, r):
+        a = join_at(torus32, r)
+        other1 = BarycenterMeasure.single(Point(0.9, 0.25))
+        other2 = BarycenterMeasure.single(Point(0.9, 0.75))
+        # r = 0 forgets sigma2, r = 1 forgets sigma1
+        dead, live = ((JoinElement(a.sigma1, other2, r), JoinElement(other1, a.sigma2, r))
+                      if r == 0.0 else
+                      (JoinElement(other1, a.sigma2, r), JoinElement(a.sigma1, other2, r)))
+        assert a == dead
+        assert hash(a) == hash(dead)
+        assert a != live
 
     def test_interior_elements_compare_both_slots(self, torus32):
         a = join_at(torus32, 0.5)
-        b = JoinElement(a.sigma1, BarycenterMeasure.single(Point(0.9, 0.75)), 0.5)
-        assert a != b
+        assert a != JoinElement(a.sigma1, BarycenterMeasure.single(Point(0.9, 0.75)), 0.5)
+        assert a != JoinElement(BarycenterMeasure.single(Point(0.9, 0.25)), a.sigma2, 0.5)
+        assert a != JoinElement(a.sigma1, a.sigma2, 0.25)
+        same = JoinElement(a.sigma1, a.sigma2, 0.5)
+        assert a == same
+        assert hash(a) == hash(same)
 
     def test_scales_split_the_concentration_parameter(self, torus32):
         zeta = join_at(torus32, 0.25)

@@ -153,6 +153,19 @@ class TestKrTransport:
         with pytest.raises(ValueError, match="torus"):
             kr_transport(mu, nu)
 
+    @pytest.mark.parametrize("pair", ("delta-atom", "delta-delta"))
+    def test_discrete_sides_and_torus_must_name_one_torus(self, pair):
+        unit, wide = FlatTorus(16), FlatTorus(16, 2.0, 0.5)
+        mu = DiscreteMeasure.grid_delta(unit, Point(0.0, 0.0))
+        if pair == "delta-atom":
+            # on `wide` the atom lies 0.9 away; the unit square would read 0.1
+            nu, options = atomic(wide, [1.0], [(0.9, 0.0)]), {"torus": wide}
+        else:
+            nu, options = DiscreteMeasure.grid_delta(wide, Point(0.0, 0.0)), {}
+        for a, b in ((mu, nu), (nu, mu)):
+            with pytest.raises(ValueError, match="different tori"):
+                kr_transport(a, b, **options)
+
     def test_symmetry_is_bit_exact(self, torus32):
         mu = atomic(torus32, [0.3, 0.7], [(0.05, 0.15), (0.8, 0.45)])
         nu = atomic(torus32, [0.2, 0.5, 0.3], [(0.3, 0.3), (0.6, 0.1), (0.9, 0.9)])

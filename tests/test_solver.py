@@ -190,10 +190,6 @@ class InfiniteTrialKernel(EnergyKernel):
     """The two-component energy kernel, except that every state other than
     the zero start evaluates to +inf."""
 
-    @staticmethod
-    def toda(h1, h2, rho):
-        return InfiniteTrialKernel(**vars(EnergyKernel.toda(h1, h2, rho)))
-
     def evaluate(self, values, spectra):
         at = super().evaluate(values, spectra)
         if not any(np.any(v) for v in values):
