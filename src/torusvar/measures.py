@@ -20,8 +20,12 @@ exact for the returned measure, an upper bound for the k-atom set.  Its local
 search moves one center at a time against the running minimum of the cap and
 the other centers' distance fields; a trial's field is the square root of the
 sum of two per-axis rows, which `FlatTorus.squared_displacement_row` caches
-across calls, scored in place.  Every distance comes from `geometry`: fields
-and rows from `FlatTorus`, point-set distances from
+across calls, scored in place.  Atom budgets are searched from k down, and
+the one-center walk is skipped when a larger budget already costs less than
+its floor, the least one-center cost over nodes (one convolution on real
+FFTs) less a margin: the walk visits nodes and its cost is 1-Lipschitz in
+the center, so it could not win.  Every distance comes from `geometry`:
+fields and rows from `FlatTorus`, point-set distances from
 `FlatTorus.pairwise_distance`.  So does every FFT (`to_spectrum`,
 `from_spectrum`).
 """
@@ -38,6 +42,7 @@ from .geometry import CurveSystem, FlatTorus, GridField, Point, from_spectrum, t
 
 MASS_TOLERANCE = 1e-9
 LP_ENTRY_LIMIT = 2**16  # |support a| x |support b| above this is refused
+_FLOOR_MARGIN = 1e-9  # `_one_center_floor`'s FFT round-off measured <= 1.2e-15
 
 
 @dataclass
@@ -258,12 +263,22 @@ def _k_median_cost(measure: DiscreteMeasure, centers: Sequence[Point]) -> float:
     return float((measure.density * dmin).sum() * torus.cell_area)
 
 
-def _voronoi_weights(measure: DiscreteMeasure, centers: Sequence[Point]) -> np.ndarray:
+def _voronoi_weights(measure: DiscreteMeasure, fields: Sequence[np.ndarray]) -> np.ndarray:
+    """Voronoi mass of each center, from the centers' distance fields."""
+    owner = np.argmin(np.stack(fields), axis=0)
+    masses = measure.density * measure.torus.cell_area
+    return np.array([masses[owner == i].sum() for i in range(len(fields))])
+
+
+def _one_center_floor(measure: DiscreteMeasure) -> float:
+    """A lower bound on int min(d(y, z), 2) dmu over every center z: the
+    circular convolution of the density with min(d(., 0), 2) on real FFTs,
+    minimized over nodes, less `_FLOOR_MARGIN` for round-off and for the
+    off-node drift of a walk's coordinates (the cost is 1-Lipschitz in z)."""
     torus = measure.torus
-    dists = np.stack([torus.distance_field(z) for z in centers])
-    owner = np.argmin(dists, axis=0)
-    masses = measure.density * torus.cell_area
-    return np.array([masses[owner == i].sum() for i in range(len(centers))])
+    cost_hat = to_spectrum(np.minimum(torus.distance_field(torus.node_point(0, 0)), 2.0))
+    conv = from_spectrum(torus, to_spectrum(measure.density) * cost_hat)
+    return float(conv.min() * torus.cell_area) - _FLOOR_MARGIN
 
 
 def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
@@ -283,12 +298,18 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     `FlatTorus.distance_field` operation for operation.  min is exact, so the
     starting cost (from the seed centers' fields) and every trial cost equal
     `_k_median_cost` of their centers bit for bit.
-    Candidates are built for every atom budget up to k and the best kept, so
-    the result is monotone in k; budget b starts from the first b centers of
-    one k-round greedy capture, which are the centers a b-round capture
-    picks.  The returned value is that objective, the exact transport
-    distance to the returned sigma, and so an upper bound on the distance to
-    the k-atom set."""
+    Candidates are built for the atom budgets from k down to 1 and the best
+    kept, ties going to the smaller budget, so the result is monotone in k;
+    budget b starts from the first b centers of one k-round greedy capture,
+    which are the centers a b-round capture picks.  Budget 1 is skipped when
+    `_one_center_floor` lies above the best cost found: that walk visits
+    nodes (up to the float drift of its coordinates), its cost is 1-Lipschitz
+    in the center since the mass is 1, and the floor is the minimum over
+    nodes less a margin far above the FFT round-off, so the walk could only
+    end above a kept candidate, and the skip changes no result.  The kept
+    candidate's fields give its Voronoi weights.  The returned value is that
+    objective, the exact transport distance to the returned sigma, and so an
+    upper bound on the distance to the k-atom set."""
     if k < 1:
         raise ValueError("atom budget k must be >= 1")
     if abs(mu.mass() - 1.0) > MASS_TOLERANCE:
@@ -299,8 +320,11 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     trial_cost = np.empty((torus.n, torus.n))
     best_cost = np.inf
     best_centers: list[Point] = []
+    best_fields: list[np.ndarray] = []
     seeds = _greedy_ball_centers(mu, k, radius=2.0 * torus.max_spacing)
-    for budget in range(1, len(seeds) + 1):
+    for budget in range(len(seeds), 0, -1):
+        if budget == 1 and len(seeds) > 1 and _one_center_floor(mu) > best_cost:
+            continue  # the one-center walk cannot end below its floor
         centers = seeds[:budget]
         fields = [torus.distance_field(z) for z in centers]
         # _k_median_cost of the seed centers, from their fields
@@ -329,9 +353,9 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
                     if c < cost - 1e-15:
                         centers[idx], fields[idx], cost = trial, field, c
                         moved = True
-        if cost < best_cost:
-            best_cost, best_centers = cost, centers
-    weights = _voronoi_weights(mu, best_centers)
+        if cost <= best_cost:  # ties go to the smaller budget
+            best_cost, best_centers, best_fields = cost, centers, fields
+    weights = _voronoi_weights(mu, best_fields)
     total = weights.sum()
     sigma = BarycenterMeasure(tuple((w / total, z) for w, z in zip(weights, best_centers)
                                     if w > 0), k)

@@ -23,7 +23,13 @@ from torusvar.measures import (
     push_forward,
     spread_mass_floor,
 )
-from torusvar.measures import _ball_kernel, _greedy_ball_centers, _k_median_cost, _voronoi_weights
+from torusvar.measures import (
+    _ball_kernel,
+    _greedy_ball_centers,
+    _k_median_cost,
+    _one_center_floor,
+    _voronoi_weights,
+)
 
 
 def reference_distance(torus: FlatTorus, a, b) -> float:
@@ -339,7 +345,8 @@ def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, Barycente
                         moved = True
         if cost < best_cost:
             best_cost, best_centers = cost, centers
-    weights = _voronoi_weights(mu, best_centers)
+    fields = [torus.distance_field(z) for z in best_centers]
+    weights = _voronoi_weights(mu, fields)
     total = weights.sum()
     sigma = BarycenterMeasure(tuple((w / total, z) for w, z in zip(weights, best_centers)
                                     if w > 0), k)
@@ -349,6 +356,8 @@ def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, Barycente
 # the third torus's spacings are not dyadic, so trial coordinates drift off-node
 SEARCH_TORI = (FlatTorus(32), FlatTorus(32, 2.0, 0.5), FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0)))
 SEARCH_IDS = ("square", "oblong", "irrational")
+# the long torus's diameter exceeds 2, so the ground-cost cap binds
+FLOOR_TORI = SEARCH_TORI + (FlatTorus(64, 5.0, 0.2),)
 bumps = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                            st.floats(0.0, 1.0, exclude_max=True),
                            st.floats(8.0, 60.0), st.floats(0.2, 1.0)),
@@ -395,6 +404,52 @@ class TestIncrementalSearch:
         seeds = _greedy_ball_centers(mu, k, radius)
         for budget in range(1, k + 1):
             assert _greedy_ball_centers(mu, budget, radius) == seeds[:budget]
+
+    def test_matches_on_a_long_torus_where_the_cap_binds(self):
+        torus = FlatTorus(64, 5.0, 0.2)
+        mu = DiscreteMeasure(torus, bump_density(torus, Point(1.0, 0.05), lam=40.0).density
+                             + 0.7 * bump_density(torus, Point(3.6, 0.15), lam=40.0).density
+                             ).normalized()
+        cost, sigma = distance_to_barycenters(mu, 2)
+        assert (cost, sigma) == full_recompute_search(mu, 2)
+        assert len(sigma.atoms) == 2
+
+    def test_skips_the_one_center_walk_that_its_floor_rules_out(self, monkeypatch):
+        # the one-center walk takes 136 trials to reach the midpoint of the
+        # bumps; the two-center search stops after 16, at a tenth of its cost
+        torus = FlatTorus(64)
+        mu = DiscreteMeasure(torus, bump_density(torus, Point(0.1, 0.25)).density
+                             + bump_density(torus, Point(0.6, 0.25)).density).normalized()
+        expected = full_recompute_search(mu, 2)
+        calls = []
+        point = FlatTorus.point
+
+        def counted(self, x1, x2):
+            calls.append((x1, x2))
+            return point(self, x1, x2)
+
+        monkeypatch.setattr(FlatTorus, "point", counted)
+        assert distance_to_barycenters(mu, 2) == expected
+        assert len(calls) < 32
+
+
+class TestOneCenterFloor:
+    @settings(max_examples=40, deadline=None)
+    @given(torus_index=st.sampled_from(range(len(FLOOR_TORI))), spec=bumps,
+           kind=st.sampled_from(("bumps", "delta", "uniform")))
+    def test_is_a_true_and_tight_lower_bound(self, torus_index, spec, kind):
+        torus = FLOOR_TORI[torus_index]
+        at = [Point(u1 * torus.L1, u2 * torus.L2) for u1, u2, _, _ in spec]
+        if kind == "bumps":
+            mu = DiscreteMeasure(torus, sum(w * bump_density(torus, p, lam).density
+                                            for p, (_, _, lam, w) in zip(at, spec))).normalized()
+        elif kind == "delta":
+            mu = DiscreteMeasure.grid_delta(torus, at[0])
+        else:
+            mu = DiscreteMeasure.uniform(torus)
+        best = min(_k_median_cost(mu, [torus.node_point(i, j)])
+                   for i in range(torus.n) for j in range(torus.n))
+        assert best - 2e-9 <= _one_center_floor(mu) <= best
 
 
 def complex_ball_masses(density: np.ndarray, kernel: np.ndarray, cell_area: float) -> np.ndarray:
