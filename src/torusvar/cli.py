@@ -48,6 +48,7 @@ from .geometry import (
     validate_singular_clearance,
 )
 from .joins import (
+    DEFAULT_SUBSAMPLES,
     JoinElement,
     energy_curve,
     homotopy_identity_check,
@@ -110,22 +111,20 @@ def h_profile(torus: FlatTorus, config: dict) -> GridField:
         a = _expect(config, "amplitude", _real, 0.3)
         if not -1.0 < a < 1.0:
             raise ConfigError(f"sin-bump amplitude must lie in (-1, 1), got {a}")
-        x1, x2 = torus.grids()
-        return torus.field(1.0 + a * np.sin(2.0 * np.pi * x1 / torus.L1)
-                           * np.sin(2.0 * np.pi * x2 / torus.L2))
+        x1, x2 = torus.axes()
+        return torus.field(1.0 + a * np.sin(2.0 * np.pi * x1 / torus.L1)[:, None]
+                           * np.sin(2.0 * np.pi * x2 / torus.L2)[None, :])
     if profile == "gauss-bump":
         a = _expect(config, "amplitude", _real, 0.5)
         w = _expect(config, "width", _real, 0.1)
         cx, cy = _expect(config, "center", _pair, (0.5, 0.5))
         if a <= -1.0 or w <= 0.0:
             raise ConfigError("gauss-bump needs amplitude > -1 and width > 0")
-        x1, x2 = torus.grids()
-        bump = np.zeros_like(x1)
-        for m1 in (-1, 0, 1):  # nearest periodic images; farther ones are negligible
-            for m2 in (-1, 0, 1):
-                d2 = (x1 - cx - m1 * torus.L1) ** 2 + (x2 - cy - m2 * torus.L2) ** 2
-                bump += np.exp(-d2 / (2.0 * w * w))
-        return torus.field(1.0 + a * bump)
+        # the Gaussian factors, so the sum over the 3 x 3 nearest periodic images
+        # (farther ones are negligible) is an outer product of per-axis sums
+        g1, g2 = (sum(np.exp(-(x - c - m * length) ** 2 / (2.0 * w * w)) for m in (-1, 0, 1))
+                  for x, c, length in zip(torus.axes(), (cx, cy), (torus.L1, torus.L2)))
+        return torus.field(1.0 + a * np.outer(g1, g2))
     raise ConfigError(f"unknown weight profile {profile!r}")
 
 
@@ -245,7 +244,8 @@ class ExperimentConfig:
             solver = SolverConfig(
                 max_iterations=_expect(solver_raw, "max_iterations", _count, 2000),
                 gradient_tolerance=_expect(solver_raw, "gradient_tolerance", _real, 1e-8))
-            h1, h2 = h_profile(torus, h_config), h_profile(torus, h2_config)
+            h1 = h_profile(torus, h_config)
+            h2 = h1 if h2_config is h_config else h_profile(torus, h2_config)
             rho = RhoPair(*_expect(raw, "rho", _pair, (2.0 * np.pi, 2.0 * np.pi)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -370,7 +370,7 @@ def _run_quantization(cfg: ExperimentConfig) -> int:
 
 def _run_test_energy(cfg: ExperimentConfig) -> int:
     problem, weights = _problem_and_weights(cfg)
-    subsamples = cfg.option("subsamples", _count, 8)
+    subsamples = cfg.option("subsamples", _count, DEFAULT_SUBSAMPLES)
     curve = energy_curve(problem, cfg.torus, cfg.join_element(), cfg.rho, cfg.lambdas,
                          weights, subsamples)
     _write_csv(cfg.out / "energy.csv", ["problem", "lambda", "scale1", "scale2", "value"],
@@ -389,7 +389,7 @@ def _run_test_energy(cfg: ExperimentConfig) -> int:
 def _run_kr_scaling(cfg: ExperimentConfig) -> int:
     components = cfg.option("components", _list_of(_count), [1, 2])
     zeta = cfg.join_element()
-    subsamples = cfg.option("subsamples", _count, 8)
+    subsamples = cfg.option("subsamples", _count, DEFAULT_SUBSAMPLES)
     fit_floor = cfg.option("fit_floor", _real, 10.0)
     curves = list(zip(components, kr_scaling_check(cfg.torus, zeta, cfg.lambdas, components,
                                                    cfg.h1, cfg.h2, subsamples=subsamples,
@@ -406,7 +406,7 @@ def _run_kr_scaling(cfg: ExperimentConfig) -> int:
 def _run_projection(cfg: ExperimentConfig) -> int:
     lam = cfg.option("lam", _real, 1000.0)
     r_values = cfg.option("r_values", _list_of(_real), [0.0, 0.5, 1.0])
-    subsamples = cfg.option("subsamples", _count, 8)
+    subsamples = cfg.option("subsamples", _count, DEFAULT_SUBSAMPLES)
     validate_singular_clearance(cfg.torus, cfg.singular, cfg.curves)
     base = cfg.join_element()
 
@@ -430,7 +430,7 @@ def _run_projection(cfg: ExperimentConfig) -> int:
 
 
 def _run_mt_check(cfg: ExperimentConfig) -> int:
-    subsamples = cfg.option("subsamples", _count, 8)
+    subsamples = cfg.option("subsamples", _count, DEFAULT_SUBSAMPLES)
     random_fields = cfg.option("random_fields", _count, 5)
     zeta = cfg.join_element()
     pure = JoinElement(zeta.sigma1, zeta.sigma2, 0.0)  # single-family bubble for the ratio

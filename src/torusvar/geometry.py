@@ -136,9 +136,6 @@ class FlatTorus:
                             subsamples: int = 1) -> "GridField":
         """Sample fn(x1, x2) on the nodes; subsamples > 1 averages fn over an
         m x m midpoint refinement of each cell (useful for under-resolved peaks)."""
-        if subsamples == 1:
-            X1, X2 = self.grids()
-            return GridField(self, np.asarray(fn(X1, X2), dtype=float))
         acc = np.zeros((self.n, self.n))
         X1, X2 = self.grids()
         for o1, o2 in subcell_offsets(self, subsamples):

@@ -53,23 +53,21 @@ class JoinElement:
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"join coordinate r must lie in [0, 1], got {self.r}")
 
+    def _key(self) -> tuple:
+        """What identifies the element: an endpoint forgets the other measure."""
+        if self.r == 0.0:
+            return (self.sigma1, self.r)
+        if self.r == 1.0:
+            return (self.sigma2, self.r)
+        return (self.sigma1, self.sigma2, self.r)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JoinElement):
             return NotImplemented
-        if self.r != other.r:
-            return False
-        if self.r == 0.0:
-            return self.sigma1 == other.sigma1
-        if self.r == 1.0:
-            return self.sigma2 == other.sigma2
-        return self.sigma1 == other.sigma1 and self.sigma2 == other.sigma2
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self.r == 0.0:
-            return hash((self.sigma1, self.r))
-        if self.r == 1.0:
-            return hash((self.sigma2, self.r))
-        return hash((self.sigma1, self.sigma2, self.r))
+        return hash(self._key())
 
     def scales(self, lam: float) -> tuple[float, float]:
         """The component concentration scales ((1-r) lambda, r lambda)."""

@@ -15,10 +15,11 @@ the closure terminate.
 The global forbidden set combines local sets over the marked points with
 integer 4-pi lattices per component; `forbidden_window` lists it inside a
 window, merging values within DEDUP_TOLERANCE into tolerance classes.  A
-membership query prints the nearest part of the window reaching 4 pi around
-the queried pair and returns its nearest element as a witness.  No element
-outside that window can be the nearest one: some 4-pi line lies within 2 pi
-of every non-negative coordinate, while every element outside it is farther.
+membership query prints the nearest part of the window reaching 4 pi (Toda)
+or 8 pi (mean field) around the queried pair and returns its nearest element
+as a witness.  No element outside that window can be the nearest one: some
+line lies within half that reach of every non-negative coordinate, while
+every element outside it is farther.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
     a1p, a2p = 2.0 * (1.0 + alpha1), 2.0 * (1.0 + alpha2)
     both = 2.0 * (2.0 + alpha1 + alpha2)
     seeds = [(0.0, 0.0), (a1p, 0.0), (0.0, a2p), (a1p, both), (both, a2p), (both, both)]
-    max1 = _coordinate_max(alpha1, alpha2) + 1e-9
-    max2 = _coordinate_max(alpha2, alpha1) + 1e-9
+    alphas = (alpha1, alpha2)
+    tops = (_coordinate_max(alpha1, alpha2) + 1e-9, _coordinate_max(alpha2, alpha1) + 1e-9)
 
     points: list[tuple[float, float]] = []
 
@@ -119,21 +120,15 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
 
     queue = [p for p in seeds if add(p)]
     while queue:
-        a, b = queue.pop()
-        m = 0
-        while a + 2.0 * m <= max1:  # rule: push the first coordinate up
-            c = a + 2.0 * m
-            for d in _partner_roots(c, alpha1, alpha2):
-                if d >= b - DEDUP_TOLERANCE and add((c, d)):
-                    queue.append((c, d))
-            m += 1
-        m = 0
-        while b + 2.0 * m <= max2:  # symmetric rule on the second coordinate
-            d = b + 2.0 * m
-            for c in _partner_roots(d, alpha2, alpha1):
-                if c >= a - DEDUP_TOLERANCE and add((c, d)):
-                    queue.append((c, d))
-            m += 1
+        p = queue.pop()
+        for k in (0, 1):  # push coordinate k up by 2m, solve the other on the ellipse
+            m = 0
+            while (c := p[k] + 2.0 * m) <= tops[k]:
+                for d in _partner_roots(c, alphas[k], alphas[1 - k]):
+                    q = (c, d) if k == 0 else (d, c)
+                    if d >= p[1 - k] - DEDUP_TOLERANCE and add(q):
+                        queue.append(q)
+                m += 1
     return LocalSet(tuple(sorted((float(a), float(b)) for a, b in points)))
 
 
@@ -185,16 +180,16 @@ def _lattice(shifts: np.ndarray, low: float, high: float) -> tuple[np.ndarray, n
 
 
 @functools.lru_cache(maxsize=256)
-def _axis_values(alphas: tuple[float, ...], limit: float) -> np.ndarray:
-    """All values 4 pi (n + sum_j (1 + alpha_j) n_j) up to `limit`, one per
-    tolerance class, read-only.  Offsets only grow, so those past the limit are
-    dropped as each weight is added."""
+def _axis_values(alphas: tuple[float, ...], limit: float, unit: float = 4.0 * np.pi) -> np.ndarray:
+    """All values unit (n + sum_j (1 + alpha_j) n_j), n >= 0 and each n_j 0 or 1,
+    up to `limit`, one per tolerance class, read-only.  Offsets only grow, so
+    those past the limit are dropped as each weight is added."""
     offsets = {0.0}
     for a in alphas:
         grown = {off + (1.0 + a) for off in offsets}
-        offsets |= {off for off in grown if 4.0 * np.pi * off <= limit}
-    values, inside = _lattice(2.0 * np.array(sorted(offsets)), 0.0, limit)
-    lines = _printed(_classes(values[inside])[0])
+        offsets |= {off for off in grown if unit * off <= limit}
+    values = unit * (np.array(sorted(offsets))[:, None] + np.arange(int(limit / unit) + 2))
+    lines = _printed(_classes(values[values <= limit])[0])
     lines.flags.writeable = False
     return lines
 
@@ -236,9 +231,10 @@ def _window(singular: SingularData, low, high) -> Iterator[tuple[np.ndarray, ...
 
 def forbidden_window(problem: str, singular: SingularData, low: tuple[float, float],
                      high: tuple[float, float]) -> GlobalSet:
-    """The forbidden set of problem "toda" or "meanfield" (the lines 8 pi n,
-    n >= 1, in each coordinate, and no points) inside the window
-    [low1, high1] x [low2, high2].
+    """The forbidden set of problem "toda" or "meanfield" inside the window
+    [low1, high1] x [low2, high2].  The mean-field set has no points, and its
+    lines in each coordinate are 8 pi (n + sum_{j in J} (1 + alpha1_j)) for
+    n >= 0 and every subset J of the marked points, except 0.
 
     A Toda point is one pair of classes, and a class is listed at its lowest
     value rounded to 12 digits, so no two listed elements lie within
@@ -251,11 +247,10 @@ def forbidden_window(problem: str, singular: SingularData, low: tuple[float, flo
         pairs = np.unique(cx[which, i] * len(y) + cy[which, j])
         lambda0 = np.column_stack((_printed(x)[pairs // len(y)], _printed(y)[pairs % len(y)]))
         return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
-    if problem == "meanfield":
+    if problem == "meanfield":  # both exponential terms are desingularized with alpha1
         def lines(lo: float, hi: float) -> np.ndarray:
-            first, last = max(1, int(lo / (8.0 * np.pi))), int(hi / (8.0 * np.pi)) + 1
-            values = 8.0 * np.pi * np.arange(first, last + 1)
-            return _printed(values[(values >= lo) & (values <= hi)])
+            values = _axis_values(singular.alpha1, hi, 8.0 * np.pi)
+            return values[(values > 0.0) & (values >= lo)]
         return GlobalSet(np.empty((0, 2)), lines(low[0], high[0]), lines(low[1], high[1]))
     raise ValueError(f"unknown problem {problem!r} (expected 'toda' or 'meanfield')")
 

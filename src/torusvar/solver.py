@@ -275,14 +275,11 @@ def check_continuation_box(problem: str, rho_center: RhoPair, nu: float,
     # pad the window past reach, so that merging at its edge drops no value within reach
     pad = 2.0 * nu + DEDUP_TOLERANCE
     gs = forbidden_window(problem, singular, (r1 - pad, r2 - pad), (r1 + pad, r2 + pad))
-    crossed1 = np.flatnonzero(np.abs(r1 - gs.lambda1) <= reach)
-    if crossed1.size:
-        raise ValueError("continuation box crosses the vertical line rho1 = "
-                         f"{gs.lambda1[crossed1[0]]:.6f}")
-    crossed2 = np.flatnonzero(np.abs(r2 - gs.lambda2) <= reach)
-    if crossed2.size:
-        raise ValueError("continuation box crosses the horizontal line rho2 = "
-                         f"{gs.lambda2[crossed2[0]]:.6f}")
+    for line, r, values in (("vertical line rho1", r1, gs.lambda1),
+                            ("horizontal line rho2", r2, gs.lambda2)):
+        crossed = np.flatnonzero(np.abs(r - values) <= reach)
+        if crossed.size:
+            raise ValueError(f"continuation box crosses the {line} = {values[crossed[0]]:.6f}")
     contained = np.flatnonzero(np.all(np.abs((r1, r2) - gs.lambda0) <= reach, axis=1))
     if contained.size:
         raise ValueError("continuation box contains the forbidden point "

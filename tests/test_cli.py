@@ -291,6 +291,30 @@ class TestWeightProfiles:
         # periodic images keep the profile even across the seam
         assert h.values[0, 1] == pytest.approx(h.values[0, -1], rel=1e-12)
 
+    @pytest.mark.parametrize("periods", [(1.0, 1.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("config", [
+        {"amplitude": 0.5, "width": 0.15, "center": [0.3, 0.4]},
+        {"amplitude": -0.4, "width": 0.12, "center": [0.7, 0.15]},
+        {"amplitude": -0.9, "width": 0.05, "center": [0.0, 0.0]}])
+    def test_gauss_bump_equals_the_full_grid_image_sum(self, periods, config):
+        # oracle: the nine periodic images summed on the full grid; the bound is
+        # relative to the sum's magnitude 1 + |a| bump, which is the profile itself
+        # unless a deep dip (a < 0) cancels digits in 1 + a bump
+        torus = FlatTorus(64, *periods)
+        a, w, (cx, cy) = config["amplitude"], config["width"], config["center"]
+        x1, x2 = torus.grids()
+        bump = sum(np.exp(-((x1 - cx - m1 * torus.L1) ** 2 + (x2 - cy - m2 * torus.L2) ** 2)
+                          / (2.0 * w * w))
+                   for m1 in (-1, 0, 1) for m2 in (-1, 0, 1))
+        h = h_profile(torus, {"profile": "gauss-bump", **config}).values
+        assert np.max(np.abs(h - (1.0 + a * bump)) / (1.0 + abs(a) * bump)) <= 4e-16
+
+    def test_an_absent_h2_reuses_h(self, tmp_path):
+        h = {"profile": "gauss-bump", "amplitude": 0.5, "width": 0.15, "center": [0.3, 0.4]}
+        cfg = ExperimentConfig.load(write_config(tmp_path, {**SMALL_GRID, "h": h}),
+                                    str(tmp_path / "out"), None, None, None)
+        assert cfg.h2 is cfg.h1 and cfg.resolved["h2"] == h
+
     def test_gauss_bump_width_validation(self, torus32):
         with pytest.raises(ConfigError, match="width"):
             h_profile(torus32, {"profile": "gauss-bump", "width": 0.0})
@@ -355,6 +379,16 @@ class TestSubcommands:
                      "--tol", "0.5"]) == 3
         # the witness is the line rho1 = 8 pi, as the forbidden set lists it
         assert "('lambda1-line', (25.132741228718,))" in capsys.readouterr().err
+
+    def test_scalar_gate_refuses_a_marked_point_line(self, tmp_path, capsys):
+        # 12 pi = 8 pi (1 + alpha1) is a single bubble's mass at the marked point
+        cfg = write_config(tmp_path, {**SMALL_GRID, "problem": "meanfield",
+                                      "rho": [12 * np.pi, 2 * np.pi],
+                                      "singular": {"points": [[0.2, 0.3]], "alpha1": [0.5],
+                                                   "alpha2": [0.5]}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--tol", "1e-6"]) == 3
+        assert f"('lambda1-line', ({round(12 * np.pi, 12)},))" in capsys.readouterr().err
 
     def test_nonconvergence_exits_4_with_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, {

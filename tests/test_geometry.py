@@ -148,6 +148,15 @@ class TestFlatTorus:
         x1, _ = torus32.grids()
         assert np.allclose(f.values, x1, atol=1e-14)
 
+    def test_field_from_function_samples_the_nodes_by_default(self):
+        def fn(x1, x2):
+            return np.sin(3.0 * x1) * np.exp(x2) + x1 * x2 - 0.7
+
+        torus = FlatTorus(24, 2.0, 0.5)
+        f = torus.field_from_function(fn)
+        assert f.values.dtype == np.float64
+        assert f.values.tobytes() == fn(*torus.grids()).tobytes()
+
     def test_subcell_offsets_center_on_zero(self, torus32):
         offs = subcell_offsets(torus32, 4)
         assert len(offs) == 16

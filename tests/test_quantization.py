@@ -17,6 +17,8 @@ from torusvar.geometry import FlatTorus, Point, SingularData
 import torusvar.quantization
 from torusvar.quantization import (
     DEDUP_TOLERANCE,
+    LocalSet,
+    ON_CURVE_TOLERANCE,
     ROUND_OFF,
     SHIFT_ROW_LIMIT,
     blowup_candidates,
@@ -89,6 +91,49 @@ def exact_local_set(a1, a2, coordinate_bound):
     return sorted((num(p[0]), num(p[1])) for p in found.values())
 
 
+def two_loop_local_lambda(alpha1, alpha2):
+    """Reference copy of the closure with one loop per coordinate, the first
+    coordinate pushed up before the second."""
+    a1p, a2p = 2.0 * (1.0 + alpha1), 2.0 * (1.0 + alpha2)
+    both = 2.0 * (2.0 + alpha1 + alpha2)
+    seeds = [(0.0, 0.0), (a1p, 0.0), (0.0, a2p), (a1p, both), (both, a2p), (both, both)]
+    max1 = torusvar.quantization._coordinate_max(alpha1, alpha2) + 1e-9
+    max2 = torusvar.quantization._coordinate_max(alpha2, alpha1) + 1e-9
+    roots = torusvar.quantization._partner_roots
+    points = []
+
+    def add(p):
+        if p[0] < -DEDUP_TOLERANCE or p[1] < -DEDUP_TOLERANCE:
+            return False
+        p = (max(p[0], 0.0), max(p[1], 0.0))
+        if abs(gamma_residual(p[0], p[1], alpha1, alpha2)) > ON_CURVE_TOLERANCE:
+            return False
+        for q in points:
+            if abs(q[0] - p[0]) <= DEDUP_TOLERANCE and abs(q[1] - p[1]) <= DEDUP_TOLERANCE:
+                return False
+        points.append(p)
+        return True
+
+    queue = [p for p in seeds if add(p)]
+    while queue:
+        a, b = queue.pop()
+        m = 0
+        while a + 2.0 * m <= max1:
+            c = a + 2.0 * m
+            for d in roots(c, alpha1, alpha2):
+                if d >= b - DEDUP_TOLERANCE and add((c, d)):
+                    queue.append((c, d))
+            m += 1
+        m = 0
+        while b + 2.0 * m <= max2:
+            d = b + 2.0 * m
+            for c in roots(d, alpha2, alpha1):
+                if c >= a - DEDUP_TOLERANCE and add((c, d)):
+                    queue.append((c, d))
+            m += 1
+    return LocalSet(tuple(sorted((float(a), float(b)) for a, b in points)))
+
+
 def assert_same_point_set(got, expected, tol=1e-9):
     """Tolerance-based set equality (sorting is unreliable when two points share
     a coordinate up to sub-tolerance rounding noise)."""
@@ -137,6 +182,11 @@ class TestLocalSet:
     def test_nonzero_points_drop_the_origin(self):
         ls = local_lambda(0.0, 0.0)
         assert len(ls.nonzero_points()) == len(ls.points) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    def test_equals_the_two_loop_closure(self, alpha1, alpha2):
+        assert local_lambda(alpha1, alpha2) == two_loop_local_lambda(alpha1, alpha2)
 
 
 class TestBlowupCandidates:
@@ -461,6 +511,18 @@ def scalar_box_message(center, nu):
     return None
 
 
+def meanfield_lines(alpha1, top):
+    """Reference: the mean-field lines 8 pi (n + sum_{j in J} (1 + alpha1_j)), n >= 0
+    and J any subset of the marked points, by brute force over the subsets; sorted,
+    up to top, without 0."""
+    values = set()
+    for size in range(len(alpha1) + 1):
+        for subset in itertools.combinations(alpha1, size):
+            offset = sum(1.0 + a for a in subset)
+            values.update(8.0 * np.pi * (n + offset) for n in range(int(top / (8.0 * np.pi)) + 1))
+    return sorted(v for v in values if 0.0 < v <= top)
+
+
 class TestScalarTables:
     def test_forbidden_multiples_of_eight_pi(self):
         empty = SingularData.empty()
@@ -508,27 +570,54 @@ class TestScalarTables:
         assert gs.lambda1.tolist() == [round(8 * np.pi, 12), round(16 * np.pi, 12)]
         assert gs.lambda2.tolist() == [round(8 * np.pi, 12)]
 
+    def test_marked_points_move_the_lines(self):
+        # a single bubble of mass 8 pi (1 + alpha1) = 12 pi can form at the point,
+        # and that mass sits in its blow-up table
+        s = SingularData.of([(0.2, 0.3)], [0.5], [0.5], FlatTorus(32))
+        gs = global_lambda(s, (60.0, 60.0), "meanfield")
+        assert gs.lambda1.tolist() == gs.lambda2.tolist() == [
+            round(8 * np.pi * n, 12) for n in (1.0, 1.5, 2.0, 2.5)]
+        assert (12 * np.pi, 12 * np.pi) in blowup_candidates(s, 0, "meanfield")
+        with pytest.raises(ValueError, match="vertical line rho1 = 37.699112"):
+            check_continuation_box("meanfield", RhoPair(12 * np.pi + 0.1, 2 * np.pi), 0.1, s)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(WEIGHTS, max_size=2),
            st.tuples(st.floats(0.0, 60 * np.pi), st.floats(0.0, 60 * np.pi)),
            st.floats(1e-9, 8 * np.pi), st.floats(0.0, np.pi))
     def test_matches_the_retired_scalar_rules(self, weights, rho, tol, nu):
-        # The common checks read the listed line values, 8 pi n rounded to 12
-        # digits as for Toda, while the retired rules read 8 pi n itself: the
-        # two may differ only where a gap is within round-off of tol, or, since
-        # the box check reaches ROUND_OFF past 2 nu, within twice that above 2 nu.
-        gaps = [nearest_scalar_line(v)[1] for v in rho]
-        assume(all(abs(gap - tol) > ROUND_OFF and not 0 < gap - 2 * nu <= 2 * ROUND_OFF
-                   for gap in gaps))
-        # marked points do not move the mean-field lines
         singular, center = marked(weights), RhoPair(*rho)
         report = global_membership(center, singular, tol, "meanfield")
-        assert report.inside == scalar_forbidden(center, tol)
-        assert report.nearest_distance == pytest.approx(
-            min(gaps), abs=1e-9)
         try:
             check_continuation_box("meanfield", center, nu, singular)
             message = None
         except ValueError as exc:
             message = str(exc)
-        assert message == scalar_box_message(center, nu)
+        if not weights:
+            # The common checks read the listed line values, 8 pi n rounded to 12
+            # digits as for Toda, while the retired rules read 8 pi n itself: the
+            # two may differ only where a gap is within round-off of tol, or, since
+            # the box check reaches ROUND_OFF past 2 nu, within twice that above 2 nu.
+            gaps = [nearest_scalar_line(v)[1] for v in rho]
+            assume(all(abs(gap - tol) > ROUND_OFF and not 0 < gap - 2 * nu <= 2 * ROUND_OFF
+                       for gap in gaps))
+            assert report.inside == scalar_forbidden(center, tol)
+            assert report.nearest_distance == pytest.approx(min(gaps), abs=1e-9)
+            assert message == scalar_box_message(center, nu)
+            return
+        # Marked points add lines, held to the subset-sum oracle.  Listed lines are
+        # merged within DEDUP_TOLERANCE, so gaps may differ by up to that much.
+        lines = meanfield_lines(singular.alpha1, max(rho) + 16 * np.pi)
+        gaps = [np.abs(v - np.array(lines)) for v in rho]
+        margin = 2 * DEDUP_TOLERANCE
+        assume(all(abs(g.min() - tol) > margin and np.all(np.abs(g - 2 * nu) > margin)
+                   for g in gaps))
+        assert report.inside == (min(g.min() for g in gaps) <= tol)
+        assert report.nearest_distance == pytest.approx(min(g.min() for g in gaps), abs=margin)
+        expected = None
+        for line, g in zip(("vertical line rho1", "horizontal line rho2"), gaps):
+            crossed = np.flatnonzero(g <= 2 * nu)
+            if crossed.size:
+                expected = f"continuation box crosses the {line} = {lines[crossed[0]]:.6f}"
+                break
+        assert message == expected
