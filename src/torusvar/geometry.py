@@ -3,9 +3,9 @@
 Everything lives on a periodic n-by-n grid over [0, L1) x [0, L2) with
 L1 * L2 = 1 (unit total area).  Fields are sampled at the nodes
 (i * L1/n, j * L2/n); axis 0 of a value array runs along x1, axis 1 along x2.
-Derivatives and Poisson solves are spectral (real discrete Fourier transforms
-on the half spectrum), so smooth periodic fields are differentiated to near
-machine precision.
+Derivatives and Poisson solves are spectral (real `numpy.fft` transforms on the
+half spectrum, the package's one FFT backend), so smooth periodic fields are
+differentiated to near machine precision.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 ROW_CACHE_SIZE = 1024  # rows kept by `FlatTorus.squared_displacement_row`: 2 MiB at n = 256
 
@@ -282,12 +281,12 @@ def _spectral_tables(torus: FlatTorus) -> dict:
 
 def to_spectrum(values: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of a real n x n array."""
-    return sp_fft.rfft2(values)
+    return np.fft.rfft2(values)
 
 
 def from_spectrum(torus: FlatTorus, coeffs: np.ndarray) -> np.ndarray:
     """The real n x n array whose half spectrum is coeffs."""
-    return sp_fft.irfft2(coeffs, s=(torus.n, torus.n))
+    return np.fft.irfft2(coeffs, s=(torus.n, torus.n))
 
 
 def prolong(coeffs: np.ndarray) -> np.ndarray:
@@ -406,8 +405,6 @@ def random_smooth_field(torus: FlatTorus, rng: np.random.Generator,
             if a == 0 and b == 0:
                 continue
             coeffs[a % n, b % n] = rng.normal() + 1j * rng.normal()
-    # numpy's full complex transform, not scipy.fft: the two differ in the last
-    # bits here (about 1e-17), and recorded runs start from these values
     vals = np.fft.ifft2(coeffs).real
     vals *= scale / max(np.abs(vals).max(), 1e-300)
     return GridField(torus, vals)

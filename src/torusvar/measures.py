@@ -27,7 +27,7 @@ FFTs) less a margin: the walk visits nodes and its cost is 1-Lipschitz in
 the center, so it could not win.  Every distance comes from `geometry`:
 fields and rows from `FlatTorus`, point-set distances from
 `FlatTorus.pairwise_distance`.  So does every FFT (`to_spectrum`,
-`from_spectrum`).
+`from_spectrum`, on `numpy.fft`); scipy serves only the transport LP.
 """
 
 from __future__ import annotations

@@ -89,13 +89,16 @@ class SolveResult:
     energy: float
     residual_norm: float
     iterations: int  # Newton steps at n
-    converged: bool
     coercive: bool
     # why the solve stopped: "converged", "iteration-cap", "no-descent",
     # "line-search-failed" or "stalled" (energy at the float floor)
     stop_reason: str
     energy_coarse: Optional[float] = None  # at n/2, when that level converged
     coarse_iterations: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def energy_gap(self) -> Optional[float]:
@@ -224,8 +227,7 @@ def _newton(kernel: EnergyKernel, spectra: list, config: SolverConfig) -> SolveR
         spectra, evaluation, current = trial_spectra, trial, value
 
     fields = tuple(GridField(torus, from_spectrum(torus, c)) for c in spectra)
-    return SolveResult(fields, current, residual, iterations, reason == "converged",
-                       kernel.coercive, reason)
+    return SolveResult(fields, current, residual, iterations, kernel.coercive, reason)
 
 
 def _kernel(problem: str, u: Sequence[GridField], h, rho: RhoPair,

@@ -1,7 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from torusvar.geometry import FlatTorus
+
+# Hypothesis imports this module only while it reports a falsifying example, and
+# that import raises a third-party DeprecationWarning (mypy_extensions.TypedDict),
+# which `-W error` turns into an INTERNALERROR that hides the example.  Importing
+# it here first, with that warning ignored, keeps failures readable.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

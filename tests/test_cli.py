@@ -569,11 +569,12 @@ class TestDeterminism:
             assert "timestamp" not in path.read_text()
 
 
-def test_cli_import_leaves_the_lp_solver_unloaded():
-    # the transport LP imports scipy.optimize and scipy.sparse only when it runs
+def test_cli_import_leaves_scipy_fft_and_the_lp_solver_unloaded():
+    # every FFT runs on numpy.fft, and the transport LP imports scipy.optimize and
+    # scipy.sparse only when it runs
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    probe = ("import sys, torusvar.cli; "
-             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    probe = ("import sys, torusvar.cli; print(sorted(m for m in "
+             "('scipy.fft', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
