@@ -6,12 +6,17 @@ import pytest
 from torusvar.geometry import FlatTorus
 
 # Hypothesis imports this module only while it reports a falsifying example, and
-# that import raises a third-party DeprecationWarning (mypy_extensions.TypedDict),
-# which `-W error` turns into an INTERNALERROR that hides the example.  Importing
-# it here first, with that warning ignored, keeps failures readable.
+# where libcst is installed that import raises a third-party DeprecationWarning
+# (mypy_extensions.TypedDict), which `-W error` turns into an INTERNALERROR that
+# hides the example.  Importing it here first, with that warning ignored, keeps
+# failures readable.  Without libcst the import fails, hypothesis skips it too,
+# and there is nothing to guard.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")
