@@ -106,16 +106,17 @@ def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
     mix = np.empty((n, n))
     term = np.empty((n, n))
     for o1, o2 in subcell_offsets(torus, subsamples):
-        mix.fill(0.0)
-        for t, p in sigma.atoms:
-            # t / (1 + scale^2 d^2)^2
+        for a, (t, p) in enumerate(sigma.atoms):
+            # t / (1 + scale^2 d^2)^2; the first atom's term is the sum so far
+            out = term if a else mix
             np.add(torus.squared_displacement_row(0, p.x1, o1)[:, None],
-                   torus.squared_displacement_row(1, p.x2, o2)[None, :], out=term)
-            np.multiply(scale2, term, out=term)
-            np.add(1.0, term, out=term)
-            np.square(term, out=term)
-            np.divide(t, term, out=term)
-            np.add(mix, term, out=mix)
+                   torus.squared_displacement_row(1, p.x2, o2)[None, :], out=out)
+            np.multiply(scale2, out, out=out)
+            np.add(1.0, out, out=out)
+            np.square(out, out=out)
+            np.divide(t, out, out=out)
+            if a:
+                np.add(mix, term, out=mix)
         acc += np.log(mix, out=mix)
     return acc / subsamples**2
 

@@ -8,9 +8,10 @@ with max(sup norm, Lipschitz seminorm) <= 1; the cap binds only on tori whose
 diameter exceeds 2 (period ratio above about 16).
 
 Every distance is exact.  A side with a single support point z gives the
-closed form sum_i m_i min(d(x_i, z), 2); any other pair is solved as a sparse
-linear program over the full transport plan, which is refused (ValueError)
-when the plan has more than `LP_ENTRY_LIMIT` entries.
+closed form sum_i m_i min(d(x_i, z), 2), a side with two a fractional
+knapsack, neither with a size limit; a pair of sides of three or more points
+is solved as a sparse linear program over the full transport plan, which is
+refused (ValueError) when the plan has more than `LP_ENTRY_LIMIT` entries.
 
 The module also carries the constructive covering/merging and
 spread-detection routines used to decide whether a density is concentrated
@@ -27,12 +28,14 @@ FFTs) less a margin: the walk visits nodes and its cost is 1-Lipschitz in
 the center, so it could not win.  Every distance comes from `geometry`:
 fields and rows from `FlatTorus`, point-set distances from
 `FlatTorus.pairwise_distance`.  So does every FFT (`to_spectrum`,
-`from_spectrum`, on `numpy.fft`); scipy serves only the transport LP.
+`from_spectrum`, on `numpy.fft`; each kernel's half spectrum is built once
+per torus and radius); scipy serves only the transport LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -145,7 +148,8 @@ def push_forward(sigma: BarycenterMeasure, curves: CurveSystem, component: int) 
 @dataclass(frozen=True)
 class TransportResult:
     """Outcome of a distance evaluation: the exact value, its error bound
-    (always 0.0) and the route, "closed-form" or "lp"."""
+    (always 0.0) and the route: "closed-form" when a side has one or two
+    support points, "lp" when both sides have three or more."""
 
     distance: float
     error_bound: float
@@ -189,9 +193,13 @@ def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> Tr
     (ValueError otherwise).
 
     Closed form when one side is a single atom (every unit of mass travels
-    straight to that atom), else the exact LP in a canonical orientation so the
-    value is bit-identical under argument swap.  An LP whose plan would have
-    more than `LP_ENTRY_LIMIT` entries raises ValueError before it is built."""
+    straight to that atom) or has two points z1, z2: with sink masses w_j the
+    cost is sum_j w_j c_2j + min sum_j x_j (c_1j - c_2j) over sum_j x_j = m_1,
+    0 <= x_j <= w_j, a fractional knapsack that fills z1's mass in stable
+    order of c_1j - c_2j, in O(K log K) with no size limit.  Else the exact
+    LP; a plan of more than `LP_ENTRY_LIMIT` entries raises ValueError before
+    it is built.  The smaller side (on a tie, the smaller `_side_key`) is the
+    source, so the value is bit-identical under argument swap."""
     gap = abs(mu.mass() - nu.mass())
     if gap > MASS_TOLERANCE:
         raise ValueError(f"measures have unequal masses (gap {gap:.3e})")
@@ -204,15 +212,21 @@ def kr_transport(mu: Measure, nu: Measure, torus: FlatTorus | None = None) -> Tr
     if any(t != tori[0] for t in tori[1:]):
         raise ValueError(f"the measures and `torus` name different tori: {tori}")
     torus = tori[0]
-    for pts_one, pts_many, w_many in ((pts_a, pts_b, w_b), (pts_b, pts_a, w_a)):
-        if len(pts_one) == 1:
-            d = np.minimum(torus.pairwise_distance(pts_many, pts_one)[:, 0], 2.0)
-            return TransportResult(float((w_many * d).sum()), 0.0, "closed-form")
+    if len(w_a) > len(w_b) or (len(w_a) == len(w_b) and _side_key(pts_a, w_a) > _side_key(pts_b, w_b)):
+        pts_a, w_a, pts_b, w_b = pts_b, w_b, pts_a, w_a
+    if len(w_a) in (1, 2):
+        cost = np.minimum(torus.pairwise_distance(pts_a, pts_b), 2.0)
+        if len(w_a) == 1:
+            return TransportResult(float((w_b * cost[0]).sum()), 0.0, "closed-form")
+        gain = cost[0] - cost[1]
+        order = np.argsort(gain, kind="stable")
+        before = np.concatenate(([0.0], np.cumsum(w_b[order])[:-1]))
+        sent = np.clip(w_a[0] - before, 0.0, w_b[order])
+        return TransportResult(float((w_b * cost[1]).sum() + (sent * gain[order]).sum()),
+                               0.0, "closed-form")
     if len(w_a) * len(w_b) > LP_ENTRY_LIMIT:
         raise ValueError(f"a transport plan between {len(w_a)} and {len(w_b)} support points "
                          f"exceeds {LP_ENTRY_LIMIT} entries")
-    if len(w_a) > len(w_b) or (len(w_a) == len(w_b) and _side_key(pts_a, w_a) > _side_key(pts_b, w_b)):
-        pts_a, w_a, pts_b, w_b = pts_b, w_b, pts_a, w_a
     return TransportResult(_transport_lp(torus, pts_a, w_a, pts_b, w_b), 0.0, "lp")
 
 
@@ -227,26 +241,36 @@ def _ball_kernel(torus: FlatTorus, radius: float) -> np.ndarray:
     return (torus.distance_field(origin) <= radius).astype(float)
 
 
-def _ball_masses(torus: FlatTorus, density: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _kernel_spectrum(torus: FlatTorus, radius: Optional[float]) -> np.ndarray:
+    """Half spectrum of the radius ball's indicator, or of min(d(., 0), 2) for
+    radius None; shared by every caller and read-only."""
+    spectrum = to_spectrum(_ball_kernel(torus, radius) if radius is not None else
+                           np.minimum(torus.distance_field(torus.node_point(0, 0)), 2.0))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _ball_masses(torus: FlatTorus, density: np.ndarray, radius: float) -> np.ndarray:
     """Mass inside the radius ball around every node, by circular convolution
-    on real FFTs (`kernel_hat` is the half spectrum of the ball's indicator).
+    on real FFTs with the ball indicator's cached half spectrum.
 
     Values are rounded to 12 decimals so that near-ties from FFT round-off are
     broken by lowest node index, keeping center picks deterministic."""
-    conv = from_spectrum(torus, to_spectrum(density) * kernel_hat) * torus.cell_area
+    conv = from_spectrum(torus, to_spectrum(density) * _kernel_spectrum(torus, radius))
+    conv *= torus.cell_area
     return np.round(conv, 12)
 
 
 def _greedy_ball_centers(measure: DiscreteMeasure, rounds: int, radius: float) -> list[Point]:
     """Repeatedly capture the maximum-mass ball and remove its mass."""
     torus = measure.torus
-    kernel_hat = to_spectrum(_ball_kernel(torus, radius))
     density = measure.density.copy()
     centers: list[Point] = []
     for _ in range(rounds):
         if density.sum() * torus.cell_area < 1e-15:
             break
-        bm = _ball_masses(torus, density, kernel_hat)
+        bm = _ball_masses(torus, density, radius)
         i, j = np.unravel_index(int(np.argmax(bm)), bm.shape)
         centers.append(torus.node_point(i, j))
         density[torus.distance_field(centers[-1]) <= radius] = 0.0
@@ -276,8 +300,7 @@ def _one_center_floor(measure: DiscreteMeasure) -> float:
     minimized over nodes, less `_FLOOR_MARGIN` for round-off and for the
     off-node drift of a walk's coordinates (the cost is 1-Lipschitz in z)."""
     torus = measure.torus
-    cost_hat = to_spectrum(np.minimum(torus.distance_field(torus.node_point(0, 0)), 2.0))
-    conv = from_spectrum(torus, to_spectrum(measure.density) * cost_hat)
+    conv = from_spectrum(torus, to_spectrum(measure.density) * _kernel_spectrum(torus, None))
     return float(conv.min() * torus.cell_area) - _FLOOR_MARGIN
 
 
@@ -443,10 +466,9 @@ def covering_merge(omegas1: Sequence[Sequence[Point]], omegas2: Sequence[Sequenc
                     f"family {fam_idx} set {a} carries mass {mass:.4g} (< theta={theta})")
 
     cover_centers = _cover_sublattice(torus, delta_bar)
-    kernel_hat = to_spectrum(_ball_kernel(torus, delta_bar))
 
     def pick_centers(family: tuple, f: DiscreteMeasure) -> list[Point]:
-        all_masses = _ball_masses(torus, f.density, kernel_hat)
+        all_masses = _ball_masses(torus, f.density, delta_bar)
         masses = np.array([all_masses[torus.nearest_node(c)] for c in cover_centers])
         picked = []
         for omega in family:
@@ -526,8 +548,7 @@ def detect_spread(f: DiscreteMeasure, m: int, eps: float, s: float) -> Optional[
         return None
     torus = f.torus
     s_bar = s / 4.0
-    kernel_hat = to_spectrum(_ball_kernel(torus, s_bar))
-    bm = _ball_masses(torus, f.density, kernel_hat)
+    bm = _ball_masses(torus, f.density, s_bar)
     allowed = np.ones((torus.n, torus.n), dtype=bool)
     points: list[Point] = []
     for _ in range(m):

@@ -578,3 +578,18 @@ def test_cli_import_leaves_scipy_fft_and_the_lp_solver_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_two_atom_projection_leaves_the_lp_solver_unloaded(tmp_path):
+    # transport between two-atom measures has a closed form, so the round trip
+    # never imports scipy.optimize or scipy.sparse
+    cfg = write_config(tmp_path, {**SMALL_GRID, "k": 2, "l": 2, "lam": 100.0,
+                                  "r_values": [0.5], "subsamples": 2})
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    probe = ("import sys, torusvar.cli; code = torusvar.cli.main(sys.argv[1:]); "
+             "print(code, sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, "projection", "--config", cfg,
+                          "--out", str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

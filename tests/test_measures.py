@@ -193,7 +193,7 @@ class TestKrTransport:
             pa, pb = rng.uniform(0, 1, (ka, 2)), rng.uniform(0, 1, (kb, 2))
             mine = kr_transport(atomic(torus32, wa, pa), atomic(torus32, wb, pb),
                                 torus=torus32)
-            assert mine.method == "lp"
+            assert mine.method == ("closed-form" if min(ka, kb) == 2 else "lp")
             expected = reference_lp(torus32, wa, pa, wb, pb)
             assert mine.distance == pytest.approx(expected, abs=1e-9)
 
@@ -210,11 +210,12 @@ class TestKrTransport:
             kr_transport(f, g)
 
     @pytest.mark.parametrize("n, atoms, options, method, bound", [
-        (16, 2, {}, "lp", 0.0),
+        (16, 2, {}, "closed-form", 0.0),
+        (16, 3, {}, "lp", 0.0),
         # one side is a single atom: no size limit applies
         (128, 1, {}, "closed-form", 0.0),
-        # 4096 x 2 plan entries: well inside the LP's entry limit
-        (64, 2, {}, "lp", 0.0),
+        # one side has two points: no size limit applies either
+        (64, 2, {}, "closed-form", 0.0),
     ])
     def test_each_route_pins_method_bound_and_swap(self, n, atoms, options, method, bound):
         torus = FlatTorus(n)
@@ -224,6 +225,29 @@ class TestKrTransport:
         forward = route(kr_transport(f, sigma, **options))
         assert forward[1:] == (method, bound)
         assert route(kr_transport(sigma, f, **options)) == forward
+
+    @given(st.integers(0, 10**6), st.integers(2, 6),
+           st.sampled_from([(1.0, 1.0), (2.0, 0.5), (5.0, 0.2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_two_point_sides_match_reference_lp(self, seed, m, periods):
+        # on the 5 x 0.2 torus the cost cap of 2 binds
+        torus = FlatTorus(16, *periods)
+        rng = np.random.default_rng(seed)
+        wa, wb = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(m))
+        pa, pb = (rng.uniform(0, 1, (k, 2)) * periods for k in (2, m))
+        mu, nu = atomic(torus, wa, pa), atomic(torus, wb, pb)
+        forward = route(kr_transport(mu, nu, torus=torus))
+        assert forward[1:] == ("closed-form", 0.0)
+        assert route(kr_transport(nu, mu, torus=torus)) == forward
+        assert forward[0] == pytest.approx(reference_lp(torus, wa, pa, wb, pb), abs=1e-12)
+
+    def test_dense_bump_against_two_atoms_matches_a_dense_lp(self):
+        torus = FlatTorus(64)
+        f = bump_density(torus, Point(0.3, 0.4), lam=8.0)
+        sigma = atomic(torus, [0.35, 0.65], [(0.25, 0.6), (0.8, 0.3)])
+        out = kr_transport(f, sigma)
+        assert out.method == "closed-form"
+        assert out.distance == pytest.approx(dense_to_atoms_lp(f, sigma), abs=1e-12)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -312,7 +336,7 @@ class TestDistanceToBarycenters:
         expected = dense_to_atoms_lp(f, sigma)
         assert dist == pytest.approx(expected, rel=1e-9)
         out = kr_transport(f, sigma)
-        assert out.method == "lp"
+        assert out.method == "closed-form"
         assert out.distance == pytest.approx(expected, rel=1e-9)
 
 
