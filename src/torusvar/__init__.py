@@ -30,7 +30,6 @@ from .geometry import (
     integrate,
     laplacian,
     random_smooth_field,
-    validate_singular_clearance,
 )
 from .joins import (
     JoinElement,

@@ -3,13 +3,15 @@
 Every subcommand reads a JSON config, writes CSV/JSON data plus a manifest
 (config echo, library versions, seed, thread count) into the output
 directory, and exits 0 on success, 2 on an invalid config (malformed values,
-non-object sections, unknown top-level keys and unread marked points
-included), 3 on a module precondition failure, and 4 when a solve fails to
-converge.  Subcommands that pose a problem (`test-energy`, `quantization`,
-`solve`, `continuation`) read it from the `problem` key: "toda" (the
-default) or "meanfield".  Data outputs are byte-identical across runs with
-the same config and seed; wall-clock timestamps appear only in the
-manifest.  JSON data files are compact: one line with sorted keys.
+non-object sections, unknown top-level keys, a weight that is not strictly
+positive at every node, both curve levels on one grid row, and marked points
+given to any subcommand but `quantization`, `solve` and `continuation`, the
+three that read them), 3 on a module precondition failure, and 4 when a
+solve fails to converge.  Subcommands that pose a problem (`test-energy`,
+`quantization`, `solve`, `continuation`) read it from the `problem` key:
+"toda" (the default) or "meanfield".  Data outputs are byte-identical
+across runs with the same config and seed; wall-clock timestamps appear only
+in the manifest.  JSON data files are compact: one line with sorted keys.
 Subcommands run serially: the thread count (`--threads` or the `threads`
 key) must be at least 1 and is echoed in the manifest, but has no effect.
 
@@ -45,7 +47,6 @@ from .geometry import (
     Point,
     SingularData,
     random_smooth_field,
-    validate_singular_clearance,
 )
 from .joins import (
     DEFAULT_SUBSAMPLES,
@@ -55,7 +56,6 @@ from .joins import (
     kr_scaling_check,
     scalar_test_function,
     test_function,
-    validate_on_curves,
 )
 from .measures import BarycenterMeasure
 from .quantization import blowup_candidates, global_lambda, global_membership, local_lambda
@@ -102,19 +102,20 @@ def read_field(path: Path) -> GridField:
 
 # ----- weight profiles -----------------------------------------------------------
 
-def h_profile(torus: FlatTorus, config: dict) -> GridField:
-    """Named weight profiles: `constant`, `sin-bump`, `gauss-bump` (periodicized)."""
+def h_profile(torus: FlatTorus, config: dict, key: str = "h") -> GridField:
+    """Named weight profiles: `constant`, `sin-bump`, `gauss-bump` (periodicized).
+    A weight that is not strictly positive at every node is a ConfigError naming `key`."""
     profile = config.get("profile", "constant")
     if profile == "constant":
-        return torus.constant_field(_expect(config, "value", _real, 1.0))
-    if profile == "sin-bump":
+        values = np.full((torus.n, torus.n), _expect(config, "value", _real, 1.0))
+    elif profile == "sin-bump":
         a = _expect(config, "amplitude", _real, 0.3)
         if not -1.0 < a < 1.0:
             raise ConfigError(f"sin-bump amplitude must lie in (-1, 1), got {a}")
         x1, x2 = torus.axes()
-        return torus.field(1.0 + a * np.sin(2.0 * np.pi * x1 / torus.L1)[:, None]
-                           * np.sin(2.0 * np.pi * x2 / torus.L2)[None, :])
-    if profile == "gauss-bump":
+        values = (1.0 + a * np.sin(2.0 * np.pi * x1 / torus.L1)[:, None]
+                  * np.sin(2.0 * np.pi * x2 / torus.L2)[None, :])
+    elif profile == "gauss-bump":
         a = _expect(config, "amplitude", _real, 0.5)
         w = _expect(config, "width", _real, 0.1)
         cx, cy = _expect(config, "center", _pair, (0.5, 0.5))
@@ -124,8 +125,13 @@ def h_profile(torus: FlatTorus, config: dict) -> GridField:
         # (farther ones are negligible) is an outer product of per-axis sums
         g1, g2 = (sum(np.exp(-(x - c - m * length) ** 2 / (2.0 * w * w)) for m in (-1, 0, 1))
                   for x, c, length in zip(torus.axes(), (cx, cy), (torus.L1, torus.L2)))
-        return torus.field(1.0 + a * np.outer(g1, g2))
-    raise ConfigError(f"unknown weight profile {profile!r}")
+        values = 1.0 + a * np.outer(g1, g2)
+    else:
+        raise ConfigError(f"unknown weight profile {profile!r}")
+    if not values.min() > 0.0:
+        raise ConfigError(f"config key {key!r} gives a weight with minimum {values.min():.6g}; "
+                          "it must be strictly positive")
+    return torus.field(values)
 
 
 # ----- configuration --------------------------------------------------------------
@@ -238,6 +244,9 @@ class ExperimentConfig:
                               *_expect(grid, "periods", _pair, (1.0, 1.0)))
             curves = CurveSystem(_expect(curves_raw, "c1", _real, 0.25),
                                  _expect(curves_raw, "c2", _real, 0.75))
+            rows = {torus.nearest_node(torus.point(0.0, c))[1] for c in (curves.c1, curves.c2)}
+            if len(rows) == 1:
+                raise ConfigError(f"config key 'curves' puts both levels on grid row {rows.pop()}")
             singular = SingularData.of(_expect(singular_raw, "points", _list_of(_pair), []),
                                        _expect(singular_raw, "alpha1", _list_of(_real), []),
                                        _expect(singular_raw, "alpha2", _list_of(_real), []), torus)
@@ -245,7 +254,7 @@ class ExperimentConfig:
                 max_iterations=_expect(solver_raw, "max_iterations", _count, 2000),
                 gradient_tolerance=_expect(solver_raw, "gradient_tolerance", _real, 1e-8))
             h1 = h_profile(torus, h_config)
-            h2 = h1 if h2_config is h_config else h_profile(torus, h2_config)
+            h2 = h1 if h2_config is h_config else h_profile(torus, h2_config, "h2")
             rho = RhoPair(*_expect(raw, "rho", _pair, (2.0 * np.pi, 2.0 * np.pi)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -407,13 +416,11 @@ def _run_projection(cfg: ExperimentConfig) -> int:
     lam = cfg.option("lam", _real, 1000.0)
     r_values = cfg.option("r_values", _list_of(_real), [0.0, 0.5, 1.0])
     subsamples = cfg.option("subsamples", _count, DEFAULT_SUBSAMPLES)
-    validate_singular_clearance(cfg.torus, cfg.singular, cfg.curves)
     base = cfg.join_element()
 
     reports = []
     for r in r_values:
         zeta = JoinElement(base.sigma1, base.sigma2, r)
-        validate_on_curves(zeta, cfg.curves, cfg.torus)
         reports.append((r, homotopy_identity_check(cfg.torus, zeta, lam, cfg.h1, cfg.h2,
                                                    cfg.curves, subsamples=subsamples)))
     _write_csv(cfg.out / "projection.csv",
@@ -548,7 +555,8 @@ _RUNNERS = {
 
 def run(subcommand: str, cfg: ExperimentConfig) -> int:
     """Dispatch a subcommand; the manifest is written before any work starts."""
-    if subcommand in ("test-energy", "kr-scaling", "mt-check") and len(cfg.singular):
+    # only these read marked points; every other subcommand uses the raw weights
+    if subcommand not in ("quantization", "solve", "continuation") and len(cfg.singular):
         raise ConfigError(f"config key 'singular' is not read by {subcommand}")
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg, subcommand)

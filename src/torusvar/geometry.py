@@ -231,19 +231,6 @@ class CurveSystem:
         return Point(x.x1, self.level(i))
 
 
-def validate_singular_clearance(torus: FlatTorus, singular: SingularData,
-                                curves: CurveSystem) -> None:
-    """Require every singular point to stay > 2 grid spacings away from both circles."""
-    margin = 2.0 * torus.max_spacing
-    for j, p in enumerate(singular.points):
-        for i in (1, 2):
-            gap = float(_min_image(p.x2 - curves.level(i), torus.L2))
-            if gap <= margin:
-                raise ValueError(
-                    f"singular point {j} at {tuple(p)} lies {gap:.4g} from curve {i}"
-                    f" (needs > {margin:.4g})")
-
-
 # ----- spectral calculus ----------------------------------------------------
 #
 # Real fields are transformed with rfft2 over both axes, so coefficient arrays

@@ -40,6 +40,7 @@ ON_CURVE_TOLERANCE = 1e-12
 ROUND_OFF = 1e-12
 MEMBERSHIP_SLACK = 1e-8  # more than a point's printed distance can differ from its raw one
 SHIFT_ROW_LIMIT = 2**20  # shifts times local points in one growth step above this are refused
+LOCAL_POINT_LIMIT = 2**11  # a local set's closure that reaches this many points is refused
 
 
 def gamma_residual(s1: float, s2: float, alpha1: float, alpha2: float) -> float:
@@ -95,7 +96,8 @@ def _coordinate_max(alpha_this: float, alpha_other: float) -> float:
 def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
     """Generate the local quantization set by closing the seed points under
     both integer-shift rules.  Points are plain floats; results are cached per
-    weight pair, since every forbidden-set query asks for the same few."""
+    weight pair, since every forbidden-set query asks for the same few.  A
+    closure that reaches LOCAL_POINT_LIMIT points raises ValueError."""
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("weights must be non-negative")
     a1p, a2p = 2.0 * (1.0 + alpha1), 2.0 * (1.0 + alpha2)
@@ -116,6 +118,9 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
             if abs(q[0] - p[0]) <= DEDUP_TOLERANCE and abs(q[1] - p[1]) <= DEDUP_TOLERANCE:
                 return False
         points.append(p)
+        if len(points) >= LOCAL_POINT_LIMIT:
+            raise ValueError(f"the local set of weights ({alpha1}, {alpha2}) reaches "
+                             f"{LOCAL_POINT_LIMIT} points")
         return True
 
     queue = [p for p in seeds if add(p)]

@@ -333,13 +333,10 @@ def blowup_masses(problem: str, u: Sequence[GridField], h, rho: RhoPair,
         ball = torus.distance_field(center) <= r
         masses = tuple(rho_k * float(e[ball].sum() / e.sum())
                        for rho_k, e in zip(rho, exponentials))
-        # candidate table at the nearest marked point if the ball reaches it
-        index = None
-        for j, p in enumerate(singular.points):
-            if torus.distance(center, p) <= r:
-                index = j
-                break
-        table = blowup_candidates(singular, index, problem)
+        # candidate table at the nearest marked point if the ball reaches it (ties: lower index)
+        nearest, index = min(((torus.distance(center, p), j)
+                              for j, p in enumerate(singular.points)), default=(np.inf, None))
+        table = blowup_candidates(singular, index if nearest <= r else None, problem)
         best = min(table, key=lambda c: np.hypot(c[0] - masses[0], c[1] - masses[1]))
         dist = float(np.hypot(best[0] - masses[0], best[1] - masses[1]))
         reports.append(MassReport(center, masses, best, dist))

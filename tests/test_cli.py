@@ -99,7 +99,7 @@ class TestConfigValidation:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "'coarse_n'" in err
 
-    @pytest.mark.parametrize("subcommand", ("test-energy", "kr-scaling", "mt-check"))
+    @pytest.mark.parametrize("subcommand", ("test-energy", "kr-scaling", "projection", "mt-check"))
     def test_marked_points_are_refused_where_the_raw_weights_are_used(
             self, tmp_path, capsys, subcommand):
         cfg = write_config(tmp_path, {**SMALL_GRID, "lambdas": [10.0, 100.0],
@@ -147,11 +147,17 @@ class TestConfigValidation:
         ("projection", {"subsample": 2}, "subsample"),
         ("test-energy", {"problem": "scalar"}, "problem"),
         ("test-energy", {"problem": "both"}, "problem"),
+        # the periodic image sum dips to -0.45 although the amplitude is above -1
+        ("solve", {"h": {"profile": "gauss-bump", "amplitude": -0.9, "width": 0.5}}, "h"),
+        ("mt-check", {"h2": {"profile": "constant", "value": 0.0}}, "h2"),
+        # with L2 = 0.5 the default levels 0.25 and 0.75 are one circle
+        ("projection", {"grid": {"n": 32, "periods": [2.0, 0.5]}}, "curves"),
     ), ids=("grid-number", "solver-list", "singular-number", "h-number", "subsamples-text",
             "r-values-number", "steps-text", "box-number", "alpha-retired", "rho-sample-single",
             "mass-center-single", "components-text", "initial-typo", "spacing-typo",
             "steps-fraction", "k-boolean", "n-fraction", "nu-boolean", "subsample-unknown",
-            "energy-problem-scalar", "energy-problem-both"))
+            "energy-problem-scalar", "energy-problem-both", "h-dips-below-zero", "h2-zero",
+            "curves-on-one-row"))
     def test_malformed_value_exits_2_with_one_line(self, tmp_path, capsys, subcommand, bad,
                                                    named):
         cfg = write_config(tmp_path, {**SMALL_GRID, **bad})

@@ -8,7 +8,6 @@ from torusvar.geometry import (
     GridField,
     Point,
     SingularData,
-    CurveSystem,
     desingularized_weight,
     dirichlet_energy,
     dirichlet_form,
@@ -25,7 +24,6 @@ from torusvar.geometry import (
     spectral_inner,
     subcell_offsets,
     to_spectrum,
-    validate_singular_clearance,
 )
 from torusvar.functionals import q_density
 
@@ -374,14 +372,6 @@ class TestSingularData:
     def test_of_reduces_coordinates(self, torus32):
         s = SingularData.of([(1.25, -0.5)], [1.0], [2.0], torus32)
         assert s.points[0] == Point(0.25, 0.5)
-
-    def test_clearance_validation_names_the_culprit(self, torus32):
-        s = SingularData.of([(0.5, 0.26)], [1.0], [0.0], torus32)
-        curves = CurveSystem(0.25, 0.75)
-        with pytest.raises(ValueError, match="0.26"):
-            validate_singular_clearance(torus32, s, curves)
-        clear = SingularData.of([(0.5, 0.5)], [1.0], [0.0], torus32)
-        validate_singular_clearance(torus32, clear, curves)
 
 
 class TestDesingularizedWeight:

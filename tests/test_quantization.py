@@ -18,6 +18,7 @@ import torusvar.quantization
 from torusvar.quantization import (
     DEDUP_TOLERANCE,
     LocalSet,
+    LOCAL_POINT_LIMIT,
     ON_CURVE_TOLERANCE,
     ROUND_OFF,
     SHIFT_ROW_LIMIT,
@@ -182,6 +183,33 @@ class TestLocalSet:
     def test_nonzero_points_drop_the_origin(self):
         ls = local_lambda(0.0, 0.0)
         assert len(ls.nonzero_points()) == len(ls.points) - 1
+
+    def test_runaway_closure_is_refused(self):
+        # unbounded, (12, 0)'s closure ran past 30 s in its pairwise dedup;
+        # a child process starts with no cached local set
+        probe = ("import itertools, time\n"
+                 "from torusvar.quantization import local_lambda\n"
+                 "grid = [0.5 * i for i in range(7)]\n"
+                 "sizes = [len(local_lambda(a1, a2).points)\n"
+                 "         for a1, a2 in itertools.product(grid, repeat=2)]\n"
+                 "t0 = time.perf_counter()\n"
+                 "try:\n"
+                 "    local_lambda(12.0, 0.0)\n"
+                 "except ValueError as exc:\n"
+                 "    print(time.perf_counter() - t0, max(sizes), exc)\n")
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True, timeout=120)
+        seconds, largest, message = out.stdout.split(" ", 2)
+        assert float(seconds) < 5.0
+        assert int(largest) < LOCAL_POINT_LIMIT  # every weight pair in [0, 3]^2 is answered
+        assert message.strip().endswith(f"reaches {LOCAL_POINT_LIMIT} points")
+
+    @pytest.mark.parametrize("weights, size", (((5.0, 5.0), 1606), ((8.0, 0.0), 1195)))
+    def test_large_sets_below_the_limit_are_unchanged(self, weights, size):
+        result = local_lambda(*weights)
+        assert len(result.points) == size
+        assert result == two_loop_local_lambda(*weights)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))

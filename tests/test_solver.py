@@ -19,6 +19,7 @@ from torusvar.geometry import (
     random_smooth_field,
     to_spectrum,
 )
+from torusvar.quantization import blowup_candidates
 from torusvar.solver import (
     SolverConfig,
     blowup_masses,
@@ -671,6 +672,24 @@ class TestBlowupMasses:
         large = blowup_masses("toda", u, h, rho, [p], 0.3)[0]
         assert small.masses[0] <= large.masses[0]
         assert small.masses[1] <= large.masses[1]
+
+    @pytest.mark.parametrize("points, weights, used", (
+        # point 1 is 0.01 from the center, point 0 is 0.08 away: point 1's table
+        ([(0.5, 0.58), (0.5, 0.51)], [0.5, 3.0], 1),
+        # both are exactly 0.0625 away: the tie goes to the lower index
+        ([(0.5, 0.5625), (0.5, 0.4375)], [0.5, 3.0], 0),
+    ), ids=("nearest", "tie"))
+    def test_table_comes_from_the_nearest_marked_point(self, torus64, points, weights, used):
+        singular = SingularData.of(points, weights, weights, torus64)
+        u = (torus64.constant_field(0.0), torus64.constant_field(0.0))
+        rho = RhoPair(2 * np.pi, 2 * np.pi)
+        report = blowup_masses("toda", u, torus64.constant_field(1.0), rho,
+                               [torus64.point(0.5, 0.5)], 0.1, singular)[0]
+        table = blowup_candidates(singular, used)
+        expected = min(table, key=lambda c: np.hypot(c[0] - report.masses[0],
+                                                     c[1] - report.masses[1]))
+        assert report.nearest_candidate == expected
+        assert report.nearest_candidate not in blowup_candidates(singular, 1 - used)
 
     def test_singular_weight_enters_the_scalar_table(self):
         # a profile concentrating at a marked point of weight alpha carries
