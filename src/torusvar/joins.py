@@ -8,9 +8,9 @@ equality semantics and the test-function construction both honor exactly.
 `test_function` builds the two-component peak family: logarithmic sums of
 squared-Cauchy bubbles at scales lambda_{1,r} = (1-r) lambda and
 lambda_{2,r} = r lambda, mixed through the matrix [[1, -1/2], [-1/2, 1]].
-Bubble profiles are sampled by midpoint cell averaging (default 8 x 8 per
-cell) so that under-resolved cores at large lambda contribute their correct
-cell mass instead of a rogue point value.
+Bubble profiles are midpoint cell averages (8 x 8 per cell by default), so
+under-resolved cores at large lambda keep their cell mass instead of a rogue
+point value, with one logarithm per bounded group of sub-cell offsets.
 
 `psi_map` goes the other way: it projects a pair of densities back to a join
 element through best atomic approximations, the plateau reparametrization
@@ -39,6 +39,7 @@ from .measures import (
 DEFAULT_SUBSAMPLES = 8
 # `psi_map` is defined only when some density lies within this distance of its atomic set
 ADMISSION = 0.25
+_LOG_SPAN = 600.0  # bound on |log| of one grouped product of bubble mixes; exp is normal to ~708
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,36 +90,48 @@ def validate_on_curves(zeta: JoinElement, curves: CurveSystem, torus: FlatTorus)
 
 def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,
                     subsamples: int) -> np.ndarray:
-    """Cell-averaged samples of log sum_i t_i (1 + scale^2 d(x, x_i)^2)^(-2).
+    """Cell-averaged samples of log sum_a t_a / q_a^2, q_a = 1 + scale^2 d(x, x_a)^2.
 
     At scale 0 every bubble is identically 1 and the weights sum to 1, so the
     result is exactly zero — the join's endpoint degeneracy, bit for bit.
 
-    Each squared distance is the sum of two per-axis rows from the cached
-    `FlatTorus.squared_displacement_row`, so an atom's row for a sub-cell
-    offset along an axis is built once, and each offset is scored in place
-    with the same operations, in the same order, as the per-offset formula."""
-    n = torus.n
+    Each atom's column 1 + scale^2 d1^2 is tiled once per axis-1 offset, and q_a
+    adds the row scale^2 d2^2.  As 1 <= q_a <= q_max, |log mix| <= span =
+    2 log q_max - log t_min, so g = floor(_LOG_SPAN / span) mixes multiply into
+    one finite, normal product per log.  Memory is k + 4 n x n arrays; the result
+    is the per-offset formula's to round-off (a few eps of its largest value)."""
+    n, m = torus.n, subsamples
     if scale == 0.0:
         return np.zeros((n, n))
     scale2 = scale**2
-    acc = np.zeros((n, n))
-    mix = np.empty((n, n))
-    term = np.empty((n, n))
-    for o1, o2 in subcell_offsets(torus, subsamples):
-        for a, (t, p) in enumerate(sigma.atoms):
-            # t / (1 + scale^2 d^2)^2; the first atom's term is the sum so far
+    offsets = subcell_offsets(torus, m)  # axis-1 offset outer, axis-2 offset inner
+    q_max = 1.0 + scale2 * (torus.L1**2 + torus.L2**2) / 4.0
+    span = max(1.0, 2.0 * np.log(q_max) - np.log(min(t for t, _ in sigma.atoms)))
+    group = max(1, int(_LOG_SPAN / span))
+    rows = [[scale2 * torus.squared_displacement_row(1, p.x2, o2) for _, o2 in offsets[:m]]
+            for _, p in sigma.atoms]
+    cols = np.empty((len(rows), n, n))
+    acc, prod, mix, term = np.zeros((n, n)), np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    for c, (o1, _) in enumerate(offsets):
+        if c % m == 0:
+            for col, (_, p) in zip(cols, sigma.atoms):
+                np.copyto(col, (1.0 + scale2 * torus.squared_displacement_row(0, p.x1, o1))[:, None])
+        for a, (t, _) in enumerate(sigma.atoms):
+            # t / q^2, the first atom's into the mix; copy-then-add needs no ufunc buffer
             out = term if a else mix
-            np.add(torus.squared_displacement_row(0, p.x1, o1)[:, None],
-                   torus.squared_displacement_row(1, p.x2, o2)[None, :], out=out)
-            np.multiply(scale2, out, out=out)
-            np.add(1.0, out, out=out)
+            np.copyto(out, rows[a][c % m])
+            np.add(out, cols[a], out=out)
             np.square(out, out=out)
             np.divide(t, out, out=out)
             if a:
                 np.add(mix, term, out=mix)
-        acc += np.log(mix, out=mix)
-    return acc / subsamples**2
+        if c % group:
+            np.multiply(prod, mix, out=prod)
+        else:  # a group's first mix starts its product
+            prod, mix = mix, prod
+        if (c + 1) % group == 0 or c + 1 == m * m:
+            acc += np.log(prod, out=prod)
+    return np.divide(acc, m * m, out=acc)
 
 
 def _bubble_sums(torus: FlatTorus, zeta: JoinElement, lam: float,

@@ -106,7 +106,7 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
     alphas = (alpha1, alpha2)
     tops = (_coordinate_max(alpha1, alpha2) + 1e-9, _coordinate_max(alpha2, alpha1) + 1e-9)
 
-    points: list[tuple[float, float]] = []
+    points: dict[tuple[int, int], tuple[float, float]] = {}  # by DEDUP_TOLERANCE cell, one each
 
     def add(p: tuple[float, float]) -> bool:
         if p[0] < -DEDUP_TOLERANCE or p[1] < -DEDUP_TOLERANCE:
@@ -114,10 +114,12 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
         p = (max(p[0], 0.0), max(p[1], 0.0))
         if abs(gamma_residual(p[0], p[1], alpha1, alpha2)) > ON_CURVE_TOLERANCE:
             return False
-        for q in points:
-            if abs(q[0] - p[0]) <= DEDUP_TOLERANCE and abs(q[1] - p[1]) <= DEDUP_TOLERANCE:
+        # // floors exactly, so two points in one cell match; a match lies at most two cells away
+        c1, c2 = int(p[0] // DEDUP_TOLERANCE), int(p[1] // DEDUP_TOLERANCE)
+        for q in (points.get((c1 + i, c2 + j)) for i in range(-2, 3) for j in range(-2, 3)):
+            if q and abs(q[0] - p[0]) <= DEDUP_TOLERANCE and abs(q[1] - p[1]) <= DEDUP_TOLERANCE:
                 return False
-        points.append(p)
+        points[c1, c2] = p
         if len(points) >= LOCAL_POINT_LIMIT:
             raise ValueError(f"the local set of weights ({alpha1}, {alpha2}) reaches "
                              f"{LOCAL_POINT_LIMIT} points")
@@ -134,7 +136,7 @@ def local_lambda(alpha1: float, alpha2: float) -> LocalSet:
                     if d >= p[1 - k] - DEDUP_TOLERANCE and add(q):
                         queue.append(q)
                 m += 1
-    return LocalSet(tuple(sorted((float(a), float(b)) for a, b in points)))
+    return LocalSet(tuple(sorted((float(a), float(b)) for a, b in points.values())))
 
 
 # ----- global set -------------------------------------------------------------
@@ -234,6 +236,17 @@ def _window(singular: SingularData, low, high) -> Iterator[tuple[np.ndarray, ...
         yield values, inside, lowest, codes
 
 
+def _points(xs: np.ndarray, ys: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Lattice points (xs, ys), one per pair of classes in lexicographic order, printed at
+    their own lowest coordinates: a class's lowest value can come from another point."""
+    order = np.argsort(pairs, kind="stable")
+    keyed = pairs[order]
+    starts = np.flatnonzero(keyed != np.concatenate(([-1], keyed[:-1])))  # pairs are >= 0
+    lowest = np.minimum.reduceat(np.column_stack((xs, ys))[order], starts)
+    distinct = np.unique(lowest)  # print each value once
+    return _printed(distinct)[np.searchsorted(distinct, lowest)]
+
+
 def forbidden_window(problem: str, singular: SingularData, low: tuple[float, float],
                      high: tuple[float, float]) -> GlobalSet:
     """The forbidden set of problem "toda" or "meanfield" inside the window
@@ -241,16 +254,15 @@ def forbidden_window(problem: str, singular: SingularData, low: tuple[float, flo
     lines in each coordinate are 8 pi (n + sum_{j in J} (1 + alpha1_j)) for
     n >= 0 and every subset J of the marked points, except 0.
 
-    A Toda point is one pair of classes, and a class is listed at its lowest
-    value rounded to 12 digits, so no two listed elements lie within
-    DEDUP_TOLERANCE of each other."""
+    A Toda point is one pair of classes, listed at the lowest coordinates of
+    its own lattice points rounded to 12 digits, so the listing repeats no
+    point and a point's digits do not depend on the window around it."""
     if problem == "toda":
         lines1 = _axis_values(singular.alpha1, high[0])
         lines2 = _axis_values(singular.alpha2, high[1])
-        (_, x_in, x, cx), (_, y_in, y, cy) = _window(singular, low, high)
+        (xs, x_in, _, cx), (ys, y_in, y, cy) = _window(singular, low, high)
         which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
-        pairs = np.unique(cx[which, i] * len(y) + cy[which, j])
-        lambda0 = np.column_stack((_printed(x)[pairs // len(y)], _printed(y)[pairs % len(y)]))
+        lambda0 = _points(xs[which, i], ys[which, j], cx[which, i] * len(y) + cy[which, j])
         return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
     if problem == "meanfield":  # both exponential terms are desingularized with alpha1
         def lines(lo: float, hi: float) -> np.ndarray:
@@ -277,13 +289,18 @@ class MembershipReport:
 def _toda_near_set(rho: RhoPair, singular: SingularData, low, high) -> GlobalSet:
     """The Toda window [low, high] as listed, cut to the lines (all up to the table's
     top) and the points within MEMBERSHIP_SLACK of rho's least raw distance."""
-    (xs, x_in, x, cx), (ys, y_in, y, cy) = _window(singular, low, high)
-    distances = np.hypot(np.where(x_in, np.abs(rho.rho1 - xs), np.inf)[:, :, None],
-                         np.where(y_in, np.abs(rho.rho2 - ys), np.inf)[:, None, :])
-    which, i, j = np.nonzero(distances <= distances.min() + MEMBERSHIP_SLACK)
-    points = np.column_stack((_printed(x[cx[which, i]]), _printed(y[cy[which, j]])))
+    (xs, x_in, _, cx), (ys, y_in, y, cy) = _window(singular, low, high)
+    dx = np.where(x_in, np.abs(rho.rho1 - xs), np.inf)
+    dy = np.where(y_in, np.abs(rho.rho2 - ys), np.inf)
+    # a shift's nearest point pairs its nearest values: only shifts near the least need all
+    nearest = np.hypot(dx.min(axis=1), dy.min(axis=1))
+    reach = nearest.min() + MEMBERSHIP_SLACK
+    rows = np.flatnonzero(nearest <= reach)
+    which, i, j = np.nonzero(np.hypot(dx[rows, :, None], dy[rows, None, :]) <= reach)
+    which = rows[which]
+    points = _points(xs[which, i], ys[which, j], cx[which, i] * len(y) + cy[which, j])
     lines = (_axis_values(a, top) for a, top in zip((singular.alpha1, singular.alpha2), _top(high)))
-    return GlobalSet(points[np.lexsort((points[:, 1], points[:, 0]))], *lines)
+    return GlobalSet(points, *lines)
 
 
 def global_membership(rho: RhoPair, singular: SingularData, tol: float,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,12 @@ def per_offset_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: flo
     return acc / subsamples**2
 
 
+def assert_round_off(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Agreement up to 64 rounding errors of the larger of 1 and the largest magnitude."""
+    bound = 64 * np.finfo(float).eps * max(1.0, np.abs(expected).max())
+    assert np.abs(actual - expected).max() <= bound
+
+
 class TestJoinElement:
     def test_rejects_out_of_range_coordinate(self, torus32):
         with pytest.raises(ValueError):
@@ -118,13 +126,43 @@ class TestTestFunction:
                                        FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0))),
                              ids=("2x0.5", "irrational"))
     @pytest.mark.parametrize("subsamples", (1, 3, 8))
-    def test_rows_give_the_per_offset_sum_bit_for_bit(self, torus, subsamples):
+    def test_rows_give_the_per_offset_sum_to_round_off(self, torus, subsamples):
         rng = np.random.default_rng(5)
         points = [torus.point(a1 * torus.L1, a2 * torus.L2) for a1, a2 in rng.uniform(size=(3, 2))]
         sigma = BarycenterMeasure.of([0.5, 0.3, 0.2], points)
         for scale in (3.7, 120.0, 2500.0):
-            assert np.array_equal(_log_bubble_sum(torus, sigma, scale, subsamples),
-                                  per_offset_bubble_sum(torus, sigma, scale, subsamples))
+            assert_round_off(_log_bubble_sum(torus, sigma, scale, subsamples),
+                             per_offset_bubble_sum(torus, sigma, scale, subsamples))
+
+    @pytest.mark.parametrize("weights", ((1.0,), (0.6, 0.4), (0.5, 0.3, 0.2), (1e-200, 1.0)),
+                             ids=("k=1", "k=2", "k=3", "weight-1e-200"))
+    @pytest.mark.parametrize("scale", (1e-3, 1e6, 1e12))
+    def test_extreme_scales_and_weights_stay_at_round_off(self, weights, scale):
+        # a weight of 1e-200 widens the bound on |log mix| past the grouping
+        # span, so every offset takes its own logarithm
+        torus = FlatTorus(16, 2.0, 0.5)
+        rng = np.random.default_rng(7)
+        points = [torus.point(a1 * torus.L1, a2 * torus.L2) for a1, a2 in rng.uniform(size=(3, 2))]
+        sigma = BarycenterMeasure.of(weights, points[:len(weights)])
+        for subsamples in (1, 8):
+            with np.errstate(all="raise"):  # the reference raises no floating-point error here
+                expected = per_offset_bubble_sum(torus, sigma, scale, subsamples)
+                actual = _log_bubble_sum(torus, sigma, scale, subsamples)
+            assert np.all(np.isfinite(actual))
+            assert_round_off(actual, expected)
+
+    def test_memory_does_not_grow_with_the_subsample_count(self, torus64):
+        # k column tiles and four n x n arrays, plus headers and the k x m
+        # per-atom rows, stay below k + 5 arrays; an (m, n, n) stack would not
+        sigma = join_at(torus64, 0.5, k=2).sigma1
+        _log_bubble_sum(torus64, sigma, 1000.0, 8)  # fills the shared row cache
+        tracemalloc.start()
+        try:
+            _log_bubble_sum(torus64, sigma, 1000.0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(sigma.atoms) + 5) * 64 * 64 * 8
 
     def test_zero_scale_gives_an_exact_zero(self, torus64):
         sigma = join_at(torus64, 0.5, k=2).sigma1
