@@ -42,7 +42,6 @@ from .joins import (
     rtilde,
     scalar_test_function,
     test_function,
-    validate_on_curves,
 )
 from .measures import (
     BarycenterMeasure,

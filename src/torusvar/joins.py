@@ -75,17 +75,6 @@ class JoinElement:
         return ((1.0 - self.r) * lam, self.r * lam)
 
 
-def validate_on_curves(zeta: JoinElement, curves: CurveSystem, torus: FlatTorus) -> None:
-    """Require every atom of sigma_i to lie on curve i (within one grid spacing)."""
-    for i, sigma in ((1, zeta.sigma1), (2, zeta.sigma2)):
-        for t, p in sigma.atoms:
-            gap = torus.distance(p, curves.retract(i, p))
-            if gap > torus.max_spacing:
-                raise ValueError(
-                    f"atom at {tuple(p)} lies {gap:.4g} off curve {i}"
-                    f" (> spacing {torus.max_spacing:.4g})")
-
-
 # ----- test functions ---------------------------------------------------------
 
 def _log_bubble_sum(torus: FlatTorus, sigma: BarycenterMeasure, scale: float,

@@ -14,7 +14,11 @@ the closure terminate.
 
 The global forbidden set combines local sets over the marked points with
 integer 4-pi lattices per component; `forbidden_window` lists it inside a
-window, merging values within DEDUP_TOLERANCE into tolerance classes.  A
+window, merging values within DEDUP_TOLERANCE into tolerance classes.  The
+classes of every lattice value are computed once per shift table and top.  A
+clean table, whose every run of values each within DEDUP_TOLERANCE of the next
+spans at most that, gives each window its classes by lookup; any other table,
+or a window past its top, has the window classed on its own.  A
 membership query prints the nearest part of the window reaching 4 pi (Toda)
 or 8 pi (mean field) around the queried pair and returns its nearest element
 as a witness.  No element outside that window can be the nearest one: some
@@ -225,20 +229,50 @@ def _shift_table(weights: tuple[tuple[float, float], ...], top: tuple[float, ...
     return shifts
 
 
+def _clean_classes(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The lowest value of each tolerance class of `values`, in order and read-only, and
+    whether they are clean: every run of values each within DEDUP_TOLERANCE of the next
+    spans at most that, so no run was split."""
+    ordered = np.sort(values)
+    lowest = _classes(ordered)[0]
+    lowest.flags.writeable = False
+    runs = np.count_nonzero(np.diff(ordered, prepend=-np.inf) > DEDUP_TOLERANCE)
+    return lowest, bool(len(lowest) == runs)
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_classes(weights: tuple[tuple[float, float], ...],
+                   top: tuple[float, ...]) -> tuple[tuple[np.ndarray, bool], ...]:
+    """Per coordinate, the clean classes of the shift table's lattice values up to its top."""
+    table = _shift_table(weights, top)
+    lattices = (_lattice(np.unique(table[:, k]), 0.0, top[k]) for k in (0, 1))
+    return tuple(_clean_classes(values[inside]) for values, inside in lattices)
+
+
 def _window(singular: SingularData, low, high) -> Iterator[tuple[np.ndarray, ...]]:
-    """Per coordinate: lattice values of the shifts reaching the window, inside mask, classes."""
-    table = _shift_table(tuple(zip(singular.alpha1, singular.alpha2)), _top(high))
+    """Per coordinate: lattice values of the shifts reaching the window, inside mask,
+    and the lowest value of each tolerance class the window meets, in order.
+
+    On a clean table these are the table's classes: a subset's gaps only widen and
+    its runs only narrow, so classing it would split no run either.  Otherwise, or
+    past the table's top, the window is classed on its own."""
+    weights, top = tuple(zip(singular.alpha1, singular.alpha2)), _top(high)
+    table = _shift_table(weights, top)
     shifts = table[np.all(2.0 * np.pi * table <= high, axis=1)]
-    for k in (0, 1):
+    for k, (lowest, clean) in enumerate(_shift_classes(weights, top)):
         values, inside = _lattice(shifts[:, k], low[k], high[k])
-        codes = np.zeros(values.shape, dtype=np.intp)
-        lowest, codes[inside] = _classes(values[inside])
-        yield values, inside, lowest, codes
+        if not (clean and high[k] <= top[k]):
+            lowest = _classes(values[inside])[0]
+        yield values, inside, lowest
 
 
-def _points(xs: np.ndarray, ys: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _points(xs: np.ndarray, ys: np.ndarray, x_lowest: np.ndarray,
+            y_lowest: np.ndarray) -> np.ndarray:
     """Lattice points (xs, ys), one per pair of classes in lexicographic order, printed at
-    their own lowest coordinates: a class's lowest value can come from another point."""
+    their own lowest coordinates: a class's lowest value can come from another point.
+    A class holds the values from its lowest one up to the next class's lowest one."""
+    pairs = (np.searchsorted(x_lowest, xs, side="right") * (len(y_lowest) + 1)
+             + np.searchsorted(y_lowest, ys, side="right"))
     order = np.argsort(pairs, kind="stable")
     keyed = pairs[order]
     starts = np.flatnonzero(keyed != np.concatenate(([-1], keyed[:-1])))  # pairs are >= 0
@@ -260,9 +294,9 @@ def forbidden_window(problem: str, singular: SingularData, low: tuple[float, flo
     if problem == "toda":
         lines1 = _axis_values(singular.alpha1, high[0])
         lines2 = _axis_values(singular.alpha2, high[1])
-        (xs, x_in, _, cx), (ys, y_in, y, cy) = _window(singular, low, high)
+        (xs, x_in, x_lowest), (ys, y_in, y_lowest) = _window(singular, low, high)
         which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
-        lambda0 = _points(xs[which, i], ys[which, j], cx[which, i] * len(y) + cy[which, j])
+        lambda0 = _points(xs[which, i], ys[which, j], x_lowest, y_lowest)
         return GlobalSet(lambda0, lines1[lines1 >= low[0]], lines2[lines2 >= low[1]])
     if problem == "meanfield":  # both exponential terms are desingularized with alpha1
         def lines(lo: float, hi: float) -> np.ndarray:
@@ -289,7 +323,7 @@ class MembershipReport:
 def _toda_near_set(rho: RhoPair, singular: SingularData, low, high) -> GlobalSet:
     """The Toda window [low, high] as listed, cut to the lines (all up to the table's
     top) and the points within MEMBERSHIP_SLACK of rho's least raw distance."""
-    (xs, x_in, _, cx), (ys, y_in, y, cy) = _window(singular, low, high)
+    (xs, x_in, x_lowest), (ys, y_in, y_lowest) = _window(singular, low, high)
     dx = np.where(x_in, np.abs(rho.rho1 - xs), np.inf)
     dy = np.where(y_in, np.abs(rho.rho2 - ys), np.inf)
     # a shift's nearest point pairs its nearest values: only shifts near the least need all
@@ -298,7 +332,7 @@ def _toda_near_set(rho: RhoPair, singular: SingularData, low, high) -> GlobalSet
     rows = np.flatnonzero(nearest <= reach)
     which, i, j = np.nonzero(np.hypot(dx[rows, :, None], dy[rows, None, :]) <= reach)
     which = rows[which]
-    points = _points(xs[which, i], ys[which, j], cx[which, i] * len(y) + cy[which, j])
+    points = _points(xs[which, i], ys[which, j], x_lowest, y_lowest)
     lines = (_axis_values(a, top) for a, top in zip((singular.alpha1, singular.alpha2), _top(high)))
     return GlobalSet(points, *lines)
 

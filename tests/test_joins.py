@@ -17,7 +17,6 @@ from torusvar.joins import (
     psi_map,
     rtilde,
     scalar_test_function,
-    validate_on_curves,
 )
 from torusvar.joins import _log_bubble_sum
 from torusvar.joins import test_function as peak_pair
@@ -203,13 +202,6 @@ class TestTestFunction:
         zeta = join_at(torus64, 0.5)
         phi = scalar_test_function(torus64, zeta, 50.0)
         assert abs(phi.values.mean()) < 1e-12
-
-    def test_on_curve_validation(self, torus32):
-        zeta = join_at(torus32, 0.5)
-        validate_on_curves(zeta, CURVES, torus32)
-        off = JoinElement(BarycenterMeasure.single(Point(0.5, 0.5)), zeta.sigma2, 0.5)
-        with pytest.raises(ValueError):
-            validate_on_curves(off, CURVES, torus32)
 
 
 class TestEnergyCurves:

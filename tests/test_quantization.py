@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -516,6 +517,119 @@ class TestPrunedEnumeration:
         report = global_membership(RhoPair(4 * np.pi + 0.5, 4 * np.pi + 0.5),
                                    SingularData.empty(), 1e-6)
         assert report.witness == ("lambda1-line", (round(4 * np.pi, 12),))
+
+
+def reference_window(singular, low, high):
+    """Reference copy of the window as it was before the classes were cached with the
+    shift table: per coordinate, lattice values of the shifts reaching the window,
+    inside mask, classes."""
+    q = torusvar.quantization
+    table = q._shift_table(tuple(zip(singular.alpha1, singular.alpha2)), q._top(high))
+    shifts = table[np.all(2.0 * np.pi * table <= high, axis=1)]
+    for k in (0, 1):
+        values, inside = q._lattice(shifts[:, k], low[k], high[k])
+        codes = np.zeros(values.shape, dtype=np.intp)
+        lowest, codes[inside] = q._classes(values[inside])
+        yield values, inside, lowest, codes
+
+
+def reference_points(xs, ys, pairs):
+    """Reference copy of the point listing keyed by the window's own class codes."""
+    order = np.argsort(pairs, kind="stable")
+    keyed = pairs[order]
+    starts = np.flatnonzero(keyed != np.concatenate(([-1], keyed[:-1])))
+    lowest = np.minimum.reduceat(np.column_stack((xs, ys))[order], starts)
+    distinct = np.unique(lowest)
+    return torusvar.quantization._printed(distinct)[np.searchsorted(distinct, lowest)]
+
+
+def reference_listing(singular, low, high):
+    """Reference: the Toda points that `forbidden_window` lists in [low, high]."""
+    (xs, x_in, _, cx), (ys, y_in, y, cy) = reference_window(singular, low, high)
+    which, i, j = np.nonzero(x_in[:, :, None] & y_in[:, None, :])
+    return reference_points(xs[which, i], ys[which, j], cx[which, i] * len(y) + cy[which, j])
+
+
+def reference_membership(rho, singular):
+    """Reference: the Toda membership distance and witness, from the points near rho in
+    its 4 pi window and every line up to the window's top."""
+    q = torusvar.quantization
+    low = (rho.rho1 - 4.0 * np.pi, rho.rho2 - 4.0 * np.pi)
+    high = (rho.rho1 + 4.0 * np.pi, rho.rho2 + 4.0 * np.pi)
+    (xs, x_in, _, cx), (ys, y_in, y, cy) = reference_window(singular, low, high)
+    dx = np.where(x_in, np.abs(rho.rho1 - xs), np.inf)
+    dy = np.where(y_in, np.abs(rho.rho2 - ys), np.inf)
+    nearest = np.hypot(dx.min(axis=1), dy.min(axis=1))
+    reach = nearest.min() + q.MEMBERSHIP_SLACK
+    rows = np.flatnonzero(nearest <= reach)
+    which, i, j = np.nonzero(np.hypot(dx[rows, :, None], dy[rows, None, :]) <= reach)
+    which = rows[which]
+    points = reference_points(xs[which, i], ys[which, j], cx[which, i] * len(y) + cy[which, j])
+    lines = (q._axis_values(a, top) for a, top in zip((singular.alpha1, singular.alpha2),
+                                                        q._top(high)))
+    return nearest_element(q.GlobalSet(points, *lines), rho)
+
+
+def unclean(shift_classes):
+    """`_shift_classes` with every table read as not clean."""
+    def classes(weights, top):
+        return tuple((lowest, False) for lowest, _ in shift_classes(weights, top))
+    return classes
+
+
+class TestCachedClasses:
+    @pytest.mark.parametrize("forced_unclean", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(WEIGHTS, max_size=3),
+           st.tuples(st.floats(-8 * np.pi, 40 * np.pi), st.floats(-8 * np.pi, 40 * np.pi)),
+           st.tuples(st.floats(0.0, 16 * np.pi), st.floats(0.0, 16 * np.pi)),
+           st.tuples(st.floats(0.0, 40 * np.pi), st.floats(0.0, 40 * np.pi)))
+    def test_windows_and_queries_match_the_window_classed_on_its_own(
+            self, forced_unclean, weights, low, width, rho):
+        # the product bounds every growth step's rows, so no listing is refused
+        assume(np.prod([len(local_lambda(*w).points) + 1 for w in weights]) <= REFERENCE_BUDGET)
+        singular, query = marked(weights), RhoPair(*rho)
+        high = (low[0] + width[0], low[1] + width[1])
+        q = torusvar.quantization
+        classes = unclean(q._shift_classes) if forced_unclean else q._shift_classes
+        with mock.patch.object(q, "_shift_classes", classes):
+            listed = forbidden_window("toda", singular, low, high).lambda0
+            report = global_membership(query, singular, 1e-6)
+        expected = reference_listing(singular, low, high)
+        assert listed.shape == expected.shape and listed.tobytes() == expected.tobytes()
+        distance, witness = reference_membership(query, singular)
+        assert (report.nearest_distance, report.witness, report.inside) == (
+            distance, witness, distance <= 1e-6)
+
+    def test_a_run_wider_than_the_tolerance_reads_unclean(self):
+        # the run of test_a_run_of_close_values_splits_at_the_tolerance spans 1.8e-9
+        lowest, clean = torusvar.quantization._clean_classes(
+            np.array([1.8e-9, 0.0, 0.6e-9, 1.2e-9, 5.0]))
+        assert lowest.tolist() == [0.0, 1.2e-9, 5.0] and not clean
+        lowest, clean = torusvar.quantization._clean_classes(np.array([2.0, 0.0, 2.0, 0.0]))
+        assert lowest.tolist() == [0.0, 2.0] and clean
+        assert torusvar.quantization._clean_classes(np.array([0.0, 0.6e-9, 5.0]))[1]
+
+    def test_a_window_cutting_an_unclean_run_is_classed_on_its_own(self):
+        # three weights 2 d apart put lattice values 6 pi, 6 pi + 0.6e-9 and 6 pi + 1.2e-9
+        # in one run: the table splits it after the second value, while a window that
+        # starts past the first holds the other two in one class
+        d = 0.6e-9 / (4 * np.pi)
+        weights = [(0.5, 0.0), (0.5 + d, 0.0), (0.5 + 2 * d, 0.0)]
+        low, high = (6 * np.pi + 0.3e-9, 0.0), (6 * np.pi + 1.0, 1.0)
+        top = torusvar.quantization._top(high)
+        assert not torusvar.quantization._shift_classes(tuple(weights), top)[0][1]
+        listed = forbidden_window("toda", marked(weights), low, high).lambda0
+        assert len(listed) == 1
+        assert listed.tolist() == reference_listing(marked(weights), low, high).tolist()
+
+    def test_cached_classes_are_read_only_and_clean_for_the_benchmark_weights(self):
+        weights = ((0.5, 2.0),) * 2
+        top = torusvar.quantization._top((36 * np.pi, 36 * np.pi))
+        for lowest, clean in torusvar.quantization._shift_classes(weights, top):
+            assert clean and not lowest.flags.writeable
+            with pytest.raises(ValueError):
+                lowest[0] = 1.0
 
 
 def nearest_scalar_line(value):
