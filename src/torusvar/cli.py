@@ -11,7 +11,9 @@ solve fails to converge.  Subcommands that pose a problem (`test-energy`,
 `quantization`, `solve`, `continuation`) read it from the `problem` key:
 "toda" (the default) or "meanfield".  Data outputs are byte-identical
 across runs with the same config and seed; wall-clock timestamps appear only
-in the manifest.  JSON data files are compact: one line with sorted keys.
+in the manifest.  JSON data files are compact: one line with sorted keys,
+byte-identical to `json.dumps(payload, sort_keys=True)` with arrays written as
+lists; a float64 array's distinct values are each formatted once.
 Subcommands run serially: the thread count (`--threads` or the `threads`
 key) must be at least 1 and is echoed in the manifest, but has no effect.
 
@@ -314,9 +316,34 @@ class ExperimentConfig:
 
 # ----- serialization helpers ------------------------------------------------------
 
+_encode = json.JSONEncoder(sort_keys=True, default=lambda v: v.tolist()).encode
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    # no indent: with one, CPython falls back to its pure-Python encoder
-    path.write_text(json.dumps(payload, sort_keys=True, default=lambda v: v.tolist()) + "\n")
+    """Write `json.dumps(payload, sort_keys=True, default=tolist)` plus a newline,
+    byte for byte, formatting each distinct float of a float64 array once."""
+    path.write_text(_json_text(payload) + "\n")
+
+
+def _json_text(value) -> str:
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        return "{" + ", ".join(f"{_encode(key)}: {_json_text(value[key])}"
+                               for key in sorted(value)) + "}"
+    if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim and value.size:
+        # distinct bit patterns, so -0.0 stays apart from 0.0
+        bits, inverse = np.unique(value.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array(_encode(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+        # an entry that ends the n innermost axes closes and reopens them
+        ends = np.zeros(value.shape, dtype=np.intp)
+        for n in range(1, value.ndim + 1):
+            ends[(Ellipsis,) + (-1,) * n] = n
+        separators = np.array(["]" * n + ", " + "[" * n for n in range(value.ndim + 1)], dtype=object)
+        parts = np.empty(2 * value.size, dtype=object)
+        parts[0::2] = texts[inverse]
+        parts[1::2] = separators[ends.ravel()]
+        parts[-1] = "]" * value.ndim
+        return "[" * value.ndim + "".join(parts.tolist())
+    return _encode(value)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:

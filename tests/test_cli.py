@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torusvar.cli import (
     ConfigError,
@@ -19,7 +22,8 @@ from torusvar.cli import (
     read_field,
     write_field,
 )
-from torusvar.geometry import FlatTorus, random_smooth_field
+from torusvar.geometry import FlatTorus, Point, SingularData, random_smooth_field
+from torusvar.quantization import global_lambda
 from torusvar.solver import SolverConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,7 +260,18 @@ class TestJsonWriter:
         "nested": {"b": {"d": None, "c": True}, "a": [{"y": 1, "x": float("nan")}]},
         "nan": float("nan"),
         "Alpha": 2 ** 64,
+        "repeats": np.array([[0.1, -0.0], [0.0, 0.1], [np.nan, np.inf], [-np.inf, 5e-324],
+                             [0.0, -0.0], [np.inf, 0.1]]),
+        "f32": np.array([0.1, 0.1, -0.0], dtype=np.float32),
+        "ints": np.array([[3, -3], [3, 0]]),
+        "empty": np.zeros((0, 2)),
+        "zero_d": np.array(2.5),
+        "int_keys": {2: np.array([1.5, 1.5]), 1: "one"},
     }
+
+    @staticmethod
+    def reference(payload) -> str:
+        return json.dumps(payload, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
     def test_one_sorted_line_with_the_old_values(self, tmp_path):
         path = tmp_path / "data.json"
@@ -272,6 +287,25 @@ class TestJsonWriter:
         json.loads(text, object_pairs_hook=sorted_pairs)
         old = json.dumps(self.PAYLOAD, indent=2, sort_keys=True, default=lambda v: v.tolist())
         assert float_bits(json.loads(text)) == float_bits(json.loads(old))
+
+    def test_bytes_equal_sorted_key_json_dumps(self, tmp_path):
+        path = tmp_path / "data.json"
+        _write_json(path, self.PAYLOAD)
+        assert path.read_text() == self.reference(self.PAYLOAD)
+
+    # a small pool, so values repeat, plus the values json spells specially
+    POOL = st.sampled_from([0.0, -0.0, 0.1, 1.0 / 3.0, 4 * np.pi, 1e300, 5e-324,
+                            np.nan, np.inf, -np.inf])
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2)), elements=POOL),
+           hnp.arrays(np.float64, st.integers(0, 12), elements=POOL))
+    def test_repeated_floats_keep_their_bytes(self, tmp_path_factory, points, line):
+        path = tmp_path_factory.mktemp("json") / "data.json"
+        payload = {"lambda0": points, "lambda1": line,
+                   "views": {"transposed": points.T, "reversed": line[::-1]}}
+        _write_json(path, payload)
+        assert path.read_text() == self.reference(payload)
 
     def test_two_writes_give_identical_bytes(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -343,6 +377,23 @@ class TestSubcommands:
         assert manifest["subcommand"] == "quantization"
         assert "timestamp" in manifest
         assert "torusvar" in manifest["versions"]
+
+    def test_quantization_listing_reads_back_bit_for_bit(self, tmp_path):
+        singular = {"points": [[0.3, 0.3], [0.7, 0.6]], "alpha1": [0.5, 0.5],
+                    "alpha2": [2.0, 2.0]}
+        box = 48 * np.pi
+        cfg = write_config(tmp_path, {"box": [box, box], "singular": singular})
+        out = tmp_path / "out"
+        assert main(["quantization", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "quantization.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        data = SingularData(tuple(Point(*p) for p in singular["points"]),
+                            tuple(singular["alpha1"]), tuple(singular["alpha2"]))
+        expected = global_lambda(data, (box, box)).lambda0
+        written = np.array(json.loads(text)["global"]["lambda0"], dtype=np.float64)
+        assert len(expected) > 1000
+        assert written.shape == expected.shape
+        assert np.array_equal(written.view(np.int64), expected.view(np.int64))
 
     def test_meanfield_quantization_lists_the_meanfield_set(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": "meanfield", "box": [60.0, 60.0],
