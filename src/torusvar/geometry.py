@@ -57,7 +57,7 @@ class FlatTorus:
 
     def point(self, x1: float, x2: float) -> Point:
         """Reduce raw coordinates into the fundamental domain."""
-        return Point(float(x1) % self.L1, float(x2) % self.L2)
+        return Point(_reduce(float(x1), self.L1), _reduce(float(x2), self.L2))
 
     def node_point(self, i: int, j: int) -> Point:
         h1, h2 = self.spacing
@@ -93,8 +93,10 @@ class FlatTorus:
     def distance_field(self, p: Point, offset: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
         """Distances d(node + offset, p) for all grid nodes, as a raw n x n array:
         sqrt(d1^2[:, None] + d2^2[None, :]) from the per-axis minimum-image
-        displacements d1, d2 (see `squared_distance_field`)."""
-        return np.sqrt(self.squared_distance_field(p, offset))
+        displacements d1, d2, rooted in place in `squared_distance_field`'s
+        fresh array."""
+        field = self.squared_distance_field(p, offset)
+        return np.sqrt(field, out=field)
 
     def squared_distance_field(self, p: Point,
                                offset: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
@@ -140,6 +142,13 @@ class FlatTorus:
         for o1, o2 in subcell_offsets(self, subsamples):
             acc += fn(X1 + o1, X2 + o2)
         return GridField(self, acc / subsamples**2)
+
+
+def _reduce(x: float, length: float) -> float:
+    """x modulo length in [0, length): float % rounds a tiny negative x up to
+    length itself, which is folded to 0.0."""
+    r = x % length
+    return 0.0 if r == length else r
 
 
 def _min_image(delta, length: float):

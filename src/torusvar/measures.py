@@ -19,14 +19,12 @@ near at most k points, and a projection of densities onto atomic measures.
 The projection's distance is the k-median cost of its Voronoi-weighted atoms:
 exact for the returned measure, an upper bound for the k-atom set.  Its local
 search moves one center at a time against the running minimum of the cap and
-the other centers' distance fields; a trial's field is the square root of the
-sum of two per-axis rows, which `FlatTorus.squared_displacement_row` caches
-across calls, scored in place.  Atom budgets are searched from k down, and
-the one-center walk is skipped when a larger budget already costs less than
-its floor, the least one-center cost over nodes (one convolution on real
+the other centers' distance fields.  Atom budgets are searched from k down,
+and the one-center walk is skipped when a larger budget already costs less
+than its floor, the least one-center cost over nodes (one convolution on real
 FFTs) less a margin: the walk visits nodes and its cost is 1-Lipschitz in
 the center, so it could not win.  Every distance comes from `geometry`:
-fields and rows from `FlatTorus`, point-set distances from
+fields from `FlatTorus.distance_field`, point-set distances from
 `FlatTorus.pairwise_distance`.  So does every FFT (`to_spectrum`,
 `from_spectrum`, on `numpy.fft`; each kernel's half spectrum is built once
 per torus and radius); scipy serves only the transport LP.
@@ -251,15 +249,21 @@ def _kernel_spectrum(torus: FlatTorus, radius: Optional[float]) -> np.ndarray:
     return spectrum
 
 
+def _convolve(torus: FlatTorus, density: np.ndarray, radius: Optional[float]) -> np.ndarray:
+    """int kernel(x - y) density(y) dy at every node x, by circular convolution on
+    real FFTs with `_kernel_spectrum(torus, radius)`, times the cell area."""
+    conv = from_spectrum(torus, to_spectrum(density) * _kernel_spectrum(torus, radius))
+    conv *= torus.cell_area
+    return conv
+
+
 def _ball_masses(torus: FlatTorus, density: np.ndarray, radius: float) -> np.ndarray:
-    """Mass inside the radius ball around every node, by circular convolution
-    on real FFTs with the ball indicator's cached half spectrum.
+    """Mass inside the radius ball around every node, by `_convolve` with the
+    ball indicator.
 
     Values are rounded to 12 decimals so that near-ties from FFT round-off are
     broken by lowest node index, keeping center picks deterministic."""
-    conv = from_spectrum(torus, to_spectrum(density) * _kernel_spectrum(torus, radius))
-    conv *= torus.cell_area
-    return np.round(conv, 12)
+    return np.round(_convolve(torus, density, radius), 12)
 
 
 def _greedy_ball_centers(measure: DiscreteMeasure, rounds: int, radius: float) -> list[Point]:
@@ -296,12 +300,10 @@ def _voronoi_weights(measure: DiscreteMeasure, fields: Sequence[np.ndarray]) -> 
 
 def _one_center_floor(measure: DiscreteMeasure) -> float:
     """A lower bound on int min(d(y, z), 2) dmu over every center z: the
-    circular convolution of the density with min(d(., 0), 2) on real FFTs,
-    minimized over nodes, less `_FLOOR_MARGIN` for round-off and for the
-    off-node drift of a walk's coordinates (the cost is 1-Lipschitz in z)."""
-    torus = measure.torus
-    conv = from_spectrum(torus, to_spectrum(measure.density) * _kernel_spectrum(torus, None))
-    return float(conv.min() * torus.cell_area) - _FLOOR_MARGIN
+    density's `_convolve` with min(d(., 0), 2), minimized over nodes, less
+    `_FLOOR_MARGIN` for round-off and for the off-node drift of a walk's
+    coordinates (the cost is 1-Lipschitz in z)."""
+    return float(_convolve(measure.torus, measure.density, None).min()) - _FLOOR_MARGIN
 
 
 def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
@@ -314,13 +316,10 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     optimal plan (Kitagawa-Merigot-Thibert).  The search tries the 8 grid
     neighbours of each center in turn and keeps a move that lowers the cost.
     While center i moves, the minimum of the cap 2 and the other centers'
-    distance fields is fixed, so a trial costs one elementwise minimum and one
-    weighted sum into a reused buffer, plus its distance field: the square
-    root of the sum of two cached per-axis rows
-    (`FlatTorus.squared_displacement_row`), which is
-    `FlatTorus.distance_field` operation for operation.  min is exact, so the
-    starting cost (from the seed centers' fields) and every trial cost equal
-    `_k_median_cost` of their centers bit for bit.
+    distance fields is fixed, so a trial costs its distance field, one
+    elementwise minimum and one weighted sum into a reused buffer.  min is
+    exact, so the starting cost (from the seed centers' fields) and every
+    trial cost equal `_k_median_cost` of their centers bit for bit.
     Candidates are built for the atom budgets from k down to 1 and the best
     kept, ties going to the smaller budget, so the result is monotone in k;
     budget b starts from the first b centers of one k-round greedy capture,
@@ -366,10 +365,7 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
                 for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
                     z = centers[idx]
                     trial = torus.point(z.x1 + di * h1, z.x2 + dj * h2)
-                    # torus.distance_field(trial), from cached rows
-                    field = (torus.squared_displacement_row(0, trial.x1, 0.0)[:, None]
-                             + torus.squared_displacement_row(1, trial.x2, 0.0)[None, :])
-                    np.sqrt(field, out=field)
+                    field = torus.distance_field(trial)
                     np.minimum(others, field, out=trial_cost)
                     trial_cost *= mu.density
                     c = float(trial_cost.sum() * torus.cell_area)

@@ -15,11 +15,11 @@ the closure terminate.
 The global forbidden set combines local sets over the marked points with
 integer 4-pi lattices per component; `forbidden_window` lists it inside a
 window, merging values within DEDUP_TOLERANCE into tolerance classes.  The
-classes of every lattice value are computed once per shift table and top.  A
-clean table, whose every run of values each within DEDUP_TOLERANCE of the next
-spans at most that, gives each window its classes by lookup; any other table,
-or a window past its top, has the window classed on its own.  A
-membership query prints the nearest part of the window reaching 4 pi (Toda)
+classes of every lattice value are computed once per shift table and top,
+the least multiple of 8 pi at or above the window's.  A clean table, whose
+every run of values each within DEDUP_TOLERANCE of the next spans at most
+that, gives each window its classes by lookup; any other table has the window
+classed on its own.  A membership query prints the nearest part of the window reaching 4 pi (Toda)
 or 8 pi (mean field) around the queried pair and returns its nearest element
 as a witness.  No element outside that window can be the nearest one: some
 line lies within half that reach of every non-negative coordinate, while
@@ -206,8 +206,18 @@ def _axis_values(alphas: tuple[float, ...], limit: float, unit: float = 4.0 * np
 
 
 def _top(high) -> tuple[float, ...]:
-    """A window's tops rounded up to multiples of 8 pi: one table serves nearby windows."""
-    return tuple(float(8.0 * np.pi * np.ceil(h / (8.0 * np.pi))) for h in high)
+    """A window's tops rounded up to multiples of 8 pi: per top h, the least float
+    8 pi m >= h, so one table serves nearby windows.  The quotient and the product
+    each round, so m = ceil(h / 8 pi) is corrected by a step either way."""
+    tops = []
+    for h in high:
+        m = np.ceil(h / (8.0 * np.pi))
+        if 8.0 * np.pi * m < h:
+            m += 1.0
+        elif 8.0 * np.pi * (m - 1.0) >= h:
+            m -= 1.0
+        tops.append(float(8.0 * np.pi * m))
+    return tuple(tops)
 
 
 @functools.lru_cache(maxsize=16)
@@ -254,14 +264,14 @@ def _window(singular: SingularData, low, high) -> Iterator[tuple[np.ndarray, ...
     and the lowest value of each tolerance class the window meets, in order.
 
     On a clean table these are the table's classes: a subset's gaps only widen and
-    its runs only narrow, so classing it would split no run either.  Otherwise, or
-    past the table's top, the window is classed on its own."""
+    its runs only narrow, so classing it would split no run either.  Otherwise the
+    window is classed on its own."""
     weights, top = tuple(zip(singular.alpha1, singular.alpha2)), _top(high)
     table = _shift_table(weights, top)
     shifts = table[np.all(2.0 * np.pi * table <= high, axis=1)]
     for k, (lowest, clean) in enumerate(_shift_classes(weights, top)):
         values, inside = _lattice(shifts[:, k], low[k], high[k])
-        if not (clean and high[k] <= top[k]):
+        if not clean:
             lowest = _classes(values[inside])[0]
         yield values, inside, lowest
 

@@ -58,6 +58,16 @@ class TestFlatTorus:
         p = t.point(1.25, -0.25)
         assert p == Point(0.25, 0.75)
 
+    @pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0))),
+                             ids=("unit", "irrational"))
+    def test_point_keeps_tiny_negative_coordinates_below_the_period(self, torus):
+        # float % rounds -1e-20 % L up to L itself; that is the point (0, 0)
+        assert torus.point(-1e-20, -1e-30) == Point(0.0, 0.0)
+        for x in (-5e-324, -1e-300, -1e-17, -0.25 * np.finfo(float).eps * torus.L1):
+            p = torus.point(x, x)
+            assert 0.0 <= p.x1 < torus.L1 and 0.0 <= p.x2 < torus.L2
+        assert torus.point(-1e-3, -torus.L2) == Point(-1e-3 % torus.L1, 0.0)
+
     def test_snap_lands_on_node(self, torus32):
         p = torus32.snap(Point(0.49, 0.26))
         i, j = torus32.nearest_node(p)
@@ -109,6 +119,9 @@ class TestFlatTorus:
                 np.testing.assert_array_max_ulp(torus.distance_field(p, (o1, o2)), expected, 2)
                 np.testing.assert_array_max_ulp(torus.squared_distance_field(p, (o1, o2)),
                                                 expected**2, 2)
+                # the field is the root of the squared field, bit for bit
+                assert (torus.distance_field(p, (o1, o2)).tobytes()
+                        == np.sqrt(torus.squared_distance_field(p, (o1, o2))).tobytes())
 
     @DISTANCE_TORI
     def test_distance_field_is_symmetric_between_nodes_bit_for_bit(self, torus):

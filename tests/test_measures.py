@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -338,6 +339,30 @@ class TestDistanceToBarycenters:
         out = kr_transport(f, sigma)
         assert out.method == "closed-form"
         assert out.distance == pytest.approx(expected, rel=1e-9)
+
+    def test_every_trial_field_comes_from_distance_field(self, monkeypatch):
+        # each point the search makes (trials, and the nodes of its seeds)
+        # has its field built by FlatTorus.distance_field
+        torus = FlatTorus(64)
+        mu = DiscreteMeasure(torus, bump_density(torus, Point(0.1, 0.25)).density
+                             + bump_density(torus, Point(0.6, 0.25)).density).normalized()
+        made, fielded = Counter(), Counter()
+        point, distance_field = FlatTorus.point, FlatTorus.distance_field
+
+        def counted_point(self, x1, x2):
+            p = point(self, x1, x2)
+            made[p] += 1
+            return p
+
+        def counted_field(self, p, offset=(0.0, 0.0)):
+            fielded[p] += 1
+            return distance_field(self, p, offset)
+
+        monkeypatch.setattr(FlatTorus, "point", counted_point)
+        monkeypatch.setattr(FlatTorus, "distance_field", counted_field)
+        distance_to_barycenters(mu, 2)
+        assert made.total() >= 16
+        assert made <= fielded
 
 
 def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:

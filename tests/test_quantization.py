@@ -623,6 +623,21 @@ class TestCachedClasses:
         assert len(listed) == 1
         assert listed.tolist() == reference_listing(marked(weights), low, high).tolist()
 
+    def test_tops_are_the_least_multiples_of_8_pi_not_below_the_window(self):
+        # multiples of 8 pi spelled four ways, and the float above each: the quotient
+        # and the product round, so 8 pi ceil(h / 8 pi) lands one ulp below 162 of
+        # these and one multiple too high on 600
+        j = np.arange(1, 2001)
+        eight_pi = 8.0 * np.pi
+        highs = np.concatenate((8.0 * np.pi * j, j * 8.0 * np.pi, 4.0 * np.pi * (2 * j),
+                                2.0 * np.pi * (4 * j), np.nextafter(8.0 * np.pi * j, np.inf)))
+        assert len(highs) == 10_000
+        for h in highs:
+            (top,) = torusvar.quantization._top((h,))
+            m = round(top / eight_pi)
+            assert top == eight_pi * m and top >= h
+            assert eight_pi * (m - 1) < h
+
     def test_cached_classes_are_read_only_and_clean_for_the_benchmark_weights(self):
         weights = ((0.5, 2.0),) * 2
         top = torusvar.quantization._top((36 * np.pi, 36 * np.pi))
