@@ -98,6 +98,17 @@ class FlatTorus:
         field = self.squared_distance_field(p, offset)
         return np.sqrt(field, out=field)
 
+    def node_distance_field(self, i: int, j: int) -> np.ndarray:
+        """Distances d(node, node (i, j)) for all grid nodes, as a read-only
+        n x n view into `_origin_tiling`: entry [a, b] is the origin field
+        `distance_field(Point(0.0, 0.0))` at ((a - i) mod n, (b - j) mod n).
+        Nothing is computed, and the node's own entry is exactly 0.  Where the
+        spacings are dyadic the view equals `distance_field(node_point(i, j))`
+        bit for bit; elsewhere it differs at round-off."""
+        n = self.n
+        i, j = -i % n, -j % n
+        return _origin_tiling(self)[i:i + n, j:j + n]
+
     def squared_distance_field(self, p: Point,
                                offset: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
         """Squared distances d(node + offset, p)^2 for all grid nodes, n x n."""
@@ -142,6 +153,15 @@ class FlatTorus:
         for o1, o2 in subcell_offsets(self, subsamples):
             acc += fn(X1 + o1, X2 + o2)
         return GridField(self, acc / subsamples**2)
+
+
+@lru_cache(maxsize=32)
+def _origin_tiling(torus: FlatTorus) -> np.ndarray:
+    """The origin's distance field tiled 2 x 2, (2n, 2n), so that every
+    periodic shift of it is an n x n window; shared and read-only."""
+    tiling = np.tile(torus.distance_field(Point(0.0, 0.0)), (2, 2))
+    tiling.flags.writeable = False
+    return tiling
 
 
 def _reduce(x: float, length: float) -> float:
@@ -214,8 +234,13 @@ class SingularData:
     @staticmethod
     def of(points: Sequence[tuple[float, float]], alpha1: Sequence[float],
            alpha2: Sequence[float], torus: FlatTorus) -> "SingularData":
-        """Convenience constructor reducing raw coordinates into the torus domain."""
+        """Convenience constructor reducing raw coordinates into the torus
+        domain; points that coincide on the torus are refused."""
         pts = tuple(torus.point(*p) for p in points)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if torus.distance(pts[i], pts[j]) < 1e-12:  # also across the period seam
+                    raise ValueError(f"singular points {i} and {j} coincide")
         return SingularData(pts, tuple(float(a) for a in alpha1), tuple(float(a) for a in alpha2))
 
 

@@ -18,16 +18,19 @@ spread-detection routines used to decide whether a density is concentrated
 near at most k points, and a projection of densities onto atomic measures.
 The projection's distance is the k-median cost of its Voronoi-weighted atoms:
 exact for the returned measure, an upper bound for the k-atom set.  Its local
-search moves one center at a time against the running minimum of the cap and
-the other centers' distance fields.  Atom budgets are searched from k down,
-and the one-center walk is skipped when a larger budget already costs less
-than its floor, the least one-center cost over nodes (one convolution on real
-FFTs) less a margin: the walk visits nodes and its cost is 1-Lipschitz in
-the center, so it could not win.  Every distance comes from `geometry`:
-fields from `FlatTorus.distance_field`, point-set distances from
-`FlatTorus.pairwise_distance`.  So does every FFT (`to_spectrum`,
-`from_spectrum`, on `numpy.fft`; each kernel's half spectrum is built once
-per torus and radius); scipy serves only the transport LP.
+search walks on node indices, one center at a time, against the running
+minimum of the cap and the other centers' distance fields; every center's
+field is a view of one cached origin field (`FlatTorus.node_distance_field`),
+so a trial allocates nothing and the walk never drifts off the nodes.  Atom
+budgets are searched from k down, and the one-center walk is skipped when a
+larger budget already costs less than its floor, the least one-center cost
+over nodes (one convolution on real FFTs) less a margin: the walk visits
+nodes and its cost is 1-Lipschitz in the center, so it could not win.  Every
+distance comes from `geometry`: node fields from
+`FlatTorus.node_distance_field`, other fields from `FlatTorus.distance_field`,
+point-set distances from `FlatTorus.pairwise_distance`.  So does every FFT
+(`to_spectrum`, `from_spectrum`, on `numpy.fft`; each kernel's half spectrum
+is built once per torus and radius); scipy serves only the transport LP.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .geometry import CurveSystem, FlatTorus, GridField, Point, from_spectrum, t
 
 MASS_TOLERANCE = 1e-9
 LP_ENTRY_LIMIT = 2**16  # |support a| x |support b| above this is refused
-_FLOOR_MARGIN = 1e-9  # `_one_center_floor`'s FFT round-off measured <= 1.2e-15
+_FLOOR_MARGIN = 1e-9  # covers `_one_center_floor`'s FFT round-off only, measured <= 1.2e-15
 
 
 @dataclass
@@ -235,8 +238,7 @@ def _side_key(pts: np.ndarray, w: np.ndarray) -> tuple:
 # ----- projection onto atomic measures ---------------------------------------
 
 def _ball_kernel(torus: FlatTorus, radius: float) -> np.ndarray:
-    origin = torus.node_point(0, 0)
-    return (torus.distance_field(origin) <= radius).astype(float)
+    return (torus.node_distance_field(0, 0) <= radius).astype(float)
 
 
 @lru_cache(maxsize=64)
@@ -244,7 +246,7 @@ def _kernel_spectrum(torus: FlatTorus, radius: Optional[float]) -> np.ndarray:
     """Half spectrum of the radius ball's indicator, or of min(d(., 0), 2) for
     radius None; shared by every caller and read-only."""
     spectrum = to_spectrum(_ball_kernel(torus, radius) if radius is not None else
-                           np.minimum(torus.distance_field(torus.node_point(0, 0)), 2.0))
+                           np.minimum(torus.node_distance_field(0, 0), 2.0))
     spectrum.flags.writeable = False
     return spectrum
 
@@ -281,13 +283,14 @@ def _greedy_ball_centers(measure: DiscreteMeasure, rounds: int, radius: float) -
     return centers
 
 
-def _k_median_cost(measure: DiscreteMeasure, centers: Sequence[Point]) -> float:
-    """int min(min_i d(y, z_i), 2) dmu — the exact transport distance to the
-    atomic measure with these centers and their Voronoi masses."""
+def _k_median_cost(measure: DiscreteMeasure, centers: Sequence[tuple[int, int]]) -> float:
+    """int min(min_i d(y, z_i), 2) dmu for centers z_i at these node indices —
+    the exact transport distance to the atomic measure with these centers and
+    their Voronoi masses."""
     torus = measure.torus
     dmin = np.full((torus.n, torus.n), 2.0)  # the ground-cost cap
-    for z in centers:
-        np.minimum(dmin, torus.distance_field(z), out=dmin)
+    for i, j in centers:
+        np.minimum(dmin, torus.node_distance_field(i, j), out=dmin)
     return float((measure.density * dmin).sum() * torus.cell_area)
 
 
@@ -301,8 +304,8 @@ def _voronoi_weights(measure: DiscreteMeasure, fields: Sequence[np.ndarray]) -> 
 def _one_center_floor(measure: DiscreteMeasure) -> float:
     """A lower bound on int min(d(y, z), 2) dmu over every center z: the
     density's `_convolve` with min(d(., 0), 2), minimized over nodes, less
-    `_FLOOR_MARGIN` for round-off and for the off-node drift of a walk's
-    coordinates (the cost is 1-Lipschitz in z)."""
+    `_FLOOR_MARGIN`, which covers the FFT round-off only: the walk visits
+    nodes exactly."""
     return float(_convolve(measure.torus, measure.density, None).min()) - _FLOOR_MARGIN
 
 
@@ -313,43 +316,47 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
     and a local grid search descends on the exact objective
     int min(min_i d(y, z_i), 2) dmu, which equals the transport distance for
     Voronoi-weighted atoms: sending every point to its nearest atom is an
-    optimal plan (Kitagawa-Merigot-Thibert).  The search tries the 8 grid
-    neighbours of each center in turn and keeps a move that lowers the cost.
-    While center i moves, the minimum of the cap 2 and the other centers'
-    distance fields is fixed, so a trial costs its distance field, one
-    elementwise minimum and one weighted sum into a reused buffer.  min is
-    exact, so the starting cost (from the seed centers' fields) and every
-    trial cost equal `_k_median_cost` of their centers bit for bit.
-    Candidates are built for the atom budgets from k down to 1 and the best
-    kept, ties going to the smaller budget, so the result is monotone in k;
-    budget b starts from the first b centers of one k-round greedy capture,
-    which are the centers a b-round capture picks.  Budget 1 is skipped when
+    optimal plan (Kitagawa-Merigot-Thibert).  The search walks on node
+    indices: it tries the 8 neighbouring nodes of each center in turn, with
+    periodic wrap, and keeps a move that lowers the cost.  Every center's
+    field is a `FlatTorus.node_distance_field` view, so a trial builds no
+    point and no array, and a walk cannot drift off the nodes.  While center
+    i moves, the minimum of the cap 2 and the other centers' fields is fixed,
+    so a trial costs one elementwise minimum and one weighted sum into a
+    reused buffer.  min is exact, so the starting cost and every trial cost
+    equal `_k_median_cost` of their nodes bit for bit.  Candidates are built
+    for the atom budgets from k down to 1 and the best kept, ties going to
+    the smaller budget, so the result is monotone in k; budget b starts from
+    the nodes of the first b centers of one k-round greedy capture, which are
+    the centers a b-round capture picks.  Budget 1 is skipped when
     `_one_center_floor` lies above the best cost found: that walk visits
-    nodes (up to the float drift of its coordinates), its cost is 1-Lipschitz
-    in the center since the mass is 1, and the floor is the minimum over
-    nodes less a margin far above the FFT round-off, so the walk could only
-    end above a kept candidate, and the skip changes no result.  The kept
-    candidate's fields give its Voronoi weights.  The returned value is that
-    objective, the exact transport distance to the returned sigma, and so an
-    upper bound on the distance to the k-atom set."""
+    nodes, its cost is 1-Lipschitz in the center since the mass is 1, and the
+    floor is the minimum over nodes less a margin far above the FFT
+    round-off, so the walk could only end above a kept candidate, and the
+    skip changes no result.  The kept candidate's fields give its Voronoi
+    weights, and its atoms sit at `FlatTorus.node_point` of its nodes.  The
+    returned value is that objective, the exact transport distance to the
+    returned sigma, and so an upper bound on the distance to the k-atom
+    set."""
     if k < 1:
         raise ValueError("atom budget k must be >= 1")
     if abs(mu.mass() - 1.0) > MASS_TOLERANCE:
         raise ValueError(f"measure must have unit mass, got {mu.mass()}")
     torus = mu.torus
-    h1, h2 = torus.spacing
-    others = np.empty((torus.n, torus.n))
-    trial_cost = np.empty((torus.n, torus.n))
+    n = torus.n
+    others = np.empty((n, n))
+    trial_cost = np.empty((n, n))
     best_cost = np.inf
-    best_centers: list[Point] = []
+    best_centers: list[tuple[int, int]] = []
     best_fields: list[np.ndarray] = []
-    seeds = _greedy_ball_centers(mu, k, radius=2.0 * torus.max_spacing)
+    seeds = [torus.nearest_node(z)
+             for z in _greedy_ball_centers(mu, k, radius=2.0 * torus.max_spacing)]
     for budget in range(len(seeds), 0, -1):
         if budget == 1 and len(seeds) > 1 and _one_center_floor(mu) > best_cost:
             continue  # the one-center walk cannot end below its floor
         centers = seeds[:budget]
-        fields = [torus.distance_field(z) for z in centers]
-        # _k_median_cost of the seed centers, from their fields
+        fields = [torus.node_distance_field(i, j) for i, j in centers]
+        # _k_median_cost of the seed nodes, from their fields
         cost = float((mu.density * np.minimum.reduce(fields, initial=2.0)).sum() * torus.cell_area)
         moved = True
         guard = 0
@@ -359,13 +366,13 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
             for idx in range(len(centers)):
                 # the cap and the other centers' fields stay fixed while center idx moves
                 others.fill(2.0)
-                for j, field in enumerate(fields):
-                    if j != idx:
+                for other, field in enumerate(fields):
+                    if other != idx:
                         np.minimum(others, field, out=others)
                 for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
-                    z = centers[idx]
-                    trial = torus.point(z.x1 + di * h1, z.x2 + dj * h2)
-                    field = torus.distance_field(trial)
+                    i, j = centers[idx]
+                    trial = ((i + di) % n, (j + dj) % n)
+                    field = torus.node_distance_field(*trial)
                     np.minimum(others, field, out=trial_cost)
                     trial_cost *= mu.density
                     c = float(trial_cost.sum() * torus.cell_area)
@@ -376,8 +383,8 @@ def distance_to_barycenters(mu: DiscreteMeasure, k: int) -> tuple[float, Barycen
             best_cost, best_centers, best_fields = cost, centers, fields
     weights = _voronoi_weights(mu, best_fields)
     total = weights.sum()
-    sigma = BarycenterMeasure(tuple((w / total, z) for w, z in zip(weights, best_centers)
-                                    if w > 0), k)
+    sigma = BarycenterMeasure(tuple((w / total, torus.node_point(i, j))
+                                    for w, (i, j) in zip(weights, best_centers) if w > 0), k)
     return best_cost, sigma
 
 
@@ -398,7 +405,7 @@ def covering_thresholds(torus: FlatTorus, delta: float, theta: float) -> tuple[f
     merging construction: delta_bar = delta/8, theta_bar = min(theta/H, ball area)."""
     delta_bar = delta / 8.0
     count = len(_cover_sublattice(torus, delta_bar))
-    ball_nodes = int((torus.distance_field(torus.node_point(0, 0)) <= delta_bar).sum())
+    ball_nodes = int((torus.node_distance_field(0, 0) <= delta_bar).sum())
     ball_area = ball_nodes * torus.cell_area
     return delta_bar, min(theta / count, ball_area), count
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,11 @@ from torusvar.functionals import q_density
 TWO_PI = 2.0 * np.pi
 DISTANCE_TORI = pytest.mark.parametrize("torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5)),
                                         ids=("square", "2x0.5"))
+# the irrational torus's spacings are not dyadic, so its node coordinates round
+NODE_TORI = pytest.mark.parametrize(
+    "torus", (FlatTorus(32), FlatTorus(32, 2.0, 0.5),
+              FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0)), FlatTorus(128)),
+    ids=("square", "2x0.5", "irrational", "n128"))
 
 
 def trig_field(torus: FlatTorus, k1: int, k2: int) -> GridField:
@@ -152,6 +159,28 @@ class TestFlatTorus:
             row[0] = 1.0
         np.testing.assert_array_equal(torus.squared_distance_field(Point(0.2, 0.3), (0.0, 0.01))[0],
                                       torus.squared_displacement_row(0, 0.2, 0.0)[0] + row)
+
+    @NODE_TORI
+    def test_node_distance_fields_are_shifted_views_of_the_origin_field(self, torus):
+        n = torus.n
+        origin = torus.node_distance_field(0, 0)
+        dyadic = all(np.frexp(h)[0] == 0.5 for h in torus.spacing)  # powers of two
+        for i, j in itertools.product(sorted({0, 1, n // 2, n - 1} | set(range(0, n, 7))),
+                                      repeat=2):
+            view = torus.node_distance_field(i, j)
+            assert view.shape == (n, n) and not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+            assert view[i, j] == 0.0
+            assert np.shares_memory(view, origin)
+            assert view.tobytes() == np.roll(origin, (i, j), axis=(0, 1)).tobytes()
+            expected = torus.distance_field(torus.node_point(i, j))
+            if dyadic:
+                assert view.tobytes() == expected.tobytes()
+            else:
+                # measured against the largest entry: next to a node, the
+                # reference's own coordinate subtraction cancels to 32 ulp
+                assert np.abs(view - expected).max() <= 4 * np.spacing(view.max())
 
     def test_field_from_function_averages_subcells(self, torus32):
         # a linear-in-cell function averages exactly to its midpoint value
@@ -379,8 +408,10 @@ class TestSingularData:
             SingularData.of([(0.5, 0.5)], [-1.0], [0.0], torus32)
 
     def test_rejects_coincident_points(self, torus32):
-        with pytest.raises(ValueError):
-            SingularData.of([(0.5, 0.5), (1.5, 0.5)], [1, 1], [1, 1], torus32)
+        # the second pair meets across the period seam: -1e-13 reduces to 1 - 1e-13
+        for points in ([(0.5, 0.5), (1.5, 0.5)], [(0.0, 0.5), (-1e-13, 0.5)]):
+            with pytest.raises(ValueError, match="singular points 0 and 1 coincide"):
+                SingularData.of(points, [1, 1], [1, 1], torus32)
 
     def test_of_reduces_coordinates(self, torus32):
         s = SingularData.of([(1.25, -0.5)], [1.0], [2.0], torus32)

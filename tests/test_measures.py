@@ -24,6 +24,7 @@ from torusvar.measures import (
     push_forward,
     spread_mass_floor,
 )
+from torusvar.geometry import _origin_tiling
 from torusvar.measures import (
     _ball_kernel,
     _greedy_ball_centers,
@@ -340,14 +341,21 @@ class TestDistanceToBarycenters:
         assert out.method == "closed-form"
         assert out.distance == pytest.approx(expected, rel=1e-9)
 
-    def test_every_trial_field_comes_from_distance_field(self, monkeypatch):
-        # each point the search makes (trials, and the nodes of its seeds)
-        # has its field built by FlatTorus.distance_field
+    def test_every_trial_field_is_a_view_of_the_cached_tiling(self, monkeypatch):
+        # the walk makes no point and builds no field: the only ones made are
+        # the greedy capture's, one of each per round, and the atoms' points
         torus = FlatTorus(64)
         mu = DiscreteMeasure(torus, bump_density(torus, Point(0.1, 0.25)).density
                              + bump_density(torus, Point(0.6, 0.25)).density).normalized()
-        made, fielded = Counter(), Counter()
-        point, distance_field = FlatTorus.point, FlatTorus.distance_field
+        tiling = _origin_tiling(torus)
+        seeds = Counter(_greedy_ball_centers(mu, 2, radius=2.0 * torus.max_spacing))
+        views, made, fielded = [], Counter(), Counter()
+        node_field, point, distance_field = (FlatTorus.node_distance_field, FlatTorus.point,
+                                             FlatTorus.distance_field)
+
+        def counted_view(self, i, j):
+            views.append(node_field(self, i, j))
+            return views[-1]
 
         def counted_point(self, x1, x2):
             p = point(self, x1, x2)
@@ -358,23 +366,37 @@ class TestDistanceToBarycenters:
             fielded[p] += 1
             return distance_field(self, p, offset)
 
+        monkeypatch.setattr(FlatTorus, "node_distance_field", counted_view)
         monkeypatch.setattr(FlatTorus, "point", counted_point)
         monkeypatch.setattr(FlatTorus, "distance_field", counted_field)
-        distance_to_barycenters(mu, 2)
-        assert made.total() >= 16
-        assert made <= fielded
+        _, sigma = distance_to_barycenters(mu, 2)
+        assert len(views) >= 16
+        assert all(np.shares_memory(view, tiling) for view in views)
+        assert fielded == seeds
+        assert made == seeds + Counter(p for _, p in sigma.atoms)
+
+    def test_an_occupied_node_costs_exactly_zero_on_the_irrational_torus(self):
+        # the atoms sit on the two occupied nodes; a walk whose coordinates
+        # drifted off the nodes read 4.1e-17 here
+        torus = SEARCH_TORI[2]
+        density = np.zeros((torus.n, torus.n))
+        density[3, 5], density[20, 17] = 2.0, 1.0
+        cost, sigma = distance_to_barycenters(DiscreteMeasure(torus, density).normalized(), 4)
+        assert cost == 0.0
+        assert {p for _, p in sigma.atoms} == {torus.node_point(3, 5), torus.node_point(20, 17)}
 
 
 def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, BarycenterMeasure]:
-    """The k-median local search with every trial scored from scratch by
-    `_k_median_cost`, one distance field per center per trial, and every atom
-    budget seeded by its own greedy capture."""
+    """The k-median local search on node indices with every trial scored from
+    scratch by `_k_median_cost`, one node field per center per trial, and
+    every atom budget seeded by its own greedy capture."""
     torus = mu.torus
-    h1, h2 = torus.spacing
+    n = torus.n
     best_cost = np.inf
-    best_centers: list[Point] = []
+    best_centers: list[tuple[int, int]] = []
     for budget in range(1, k + 1):
-        centers = _greedy_ball_centers(mu, budget, radius=2.0 * torus.max_spacing)
+        centers = [torus.nearest_node(z)
+                   for z in _greedy_ball_centers(mu, budget, radius=2.0 * torus.max_spacing)]
         if not centers:
             continue
         cost = _k_median_cost(mu, centers)
@@ -383,26 +405,27 @@ def full_recompute_search(mu: DiscreteMeasure, k: int) -> tuple[float, Barycente
         while moved and guard < 200:
             moved = False
             guard += 1
-            for idx, z in enumerate(centers):
+            for idx, (i, j) in enumerate(centers):
                 for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
                     trial = centers.copy()
-                    trial[idx] = torus.point(z.x1 + di * h1, z.x2 + dj * h2)
+                    trial[idx] = ((i + di) % n, (j + dj) % n)
                     c = _k_median_cost(mu, trial)
                     if c < cost - 1e-15:
                         centers, cost = trial, c
-                        z = centers[idx]
+                        i, j = centers[idx]
                         moved = True
         if cost < best_cost:
             best_cost, best_centers = cost, centers
-    fields = [torus.distance_field(z) for z in best_centers]
+    fields = [torus.node_distance_field(i, j) for i, j in best_centers]
     weights = _voronoi_weights(mu, fields)
     total = weights.sum()
-    sigma = BarycenterMeasure(tuple((w / total, z) for w, z in zip(weights, best_centers)
-                                    if w > 0), k)
+    sigma = BarycenterMeasure(tuple((w / total, torus.node_point(i, j))
+                                    for w, (i, j) in zip(weights, best_centers) if w > 0), k)
     return best_cost, sigma
 
 
-# the third torus's spacings are not dyadic, so trial coordinates drift off-node
+# the third torus's spacings are not dyadic, so a node's field differs from
+# the distance field of its point at round-off
 SEARCH_TORI = (FlatTorus(32), FlatTorus(32, 2.0, 0.5), FlatTorus(40, np.sqrt(2.0), 1.0 / np.sqrt(2.0)))
 SEARCH_IDS = ("square", "oblong", "irrational")
 # the long torus's diameter exceeds 2, so the ground-cost cap binds
@@ -471,13 +494,13 @@ class TestIncrementalSearch:
                              + bump_density(torus, Point(0.6, 0.25)).density).normalized()
         expected = full_recompute_search(mu, 2)
         calls = []
-        point = FlatTorus.point
+        node_field = FlatTorus.node_distance_field
 
-        def counted(self, x1, x2):
-            calls.append((x1, x2))
-            return point(self, x1, x2)
+        def counted(self, i, j):
+            calls.append((i, j))
+            return node_field(self, i, j)
 
-        monkeypatch.setattr(FlatTorus, "point", counted)
+        monkeypatch.setattr(FlatTorus, "node_distance_field", counted)
         assert distance_to_barycenters(mu, 2) == expected
         assert len(calls) < 32
 
@@ -496,7 +519,7 @@ class TestOneCenterFloor:
             mu = DiscreteMeasure.grid_delta(torus, at[0])
         else:
             mu = DiscreteMeasure.uniform(torus)
-        best = min(_k_median_cost(mu, [torus.node_point(i, j)])
+        best = min(_k_median_cost(mu, [(i, j)])
                    for i in range(torus.n) for j in range(torus.n))
         assert best - 2e-9 <= _one_center_floor(mu) <= best
 
